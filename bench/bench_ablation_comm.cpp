@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
 
   DistOptions dist_options;
   dist_options.ranks = 8;
-  dist_options.serialize_compute = true;
 
   dist_options.mode = DistMode::kReadPartition;
   const auto shared =

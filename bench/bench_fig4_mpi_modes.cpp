@@ -7,11 +7,13 @@
 // as many sequences, so the shared memory mode should be used when
 // possible."
 //
-// On this single-core host the runs execute for real on mpsim (so the
-// communication volume is exact and per-rank compute is measured with
-// serialized turns); the multi-node rate comes from the alpha-beta cost
-// model (see DESIGN.md).  Expected shape: read-partition ~linear,
-// genome-partition sub-linear and below at every node count.
+// The runs execute for real on mpsim (so the communication volume is exact
+// and per-rank compute is each rank thread's CPU time, which excludes time
+// spent waiting for a core); the multi-node rate comes from the alpha-beta
+// cost model (see DESIGN.md).  Expected shape: read-partition ~linear,
+// genome-partition sub-linear and below at every node count.  The last
+// column is the read-partition run's total bytes sent: the accumulator
+// reduction plus the read batches rank 0 ships to their owners.
 #include <cstdio>
 #include <cstdlib>
 
@@ -51,20 +53,18 @@ int main(int argc, char** argv) {
   {
     DistOptions warmup;
     warmup.ranks = 1;
-    warmup.serialize_compute = false;
     run_distributed(w.reference, w.reads, config, warmup, &shared_index);
   }
 
   print_rule();
-  std::printf("%6s %28s %28s %10s\n", "nodes", "shared genome (seq/s)",
-              "spread memory (seq/s)", "perfect");
+  std::printf("%6s %28s %28s %10s %12s\n", "nodes", "shared genome (seq/s)",
+              "spread memory (seq/s)", "perfect", "shared MB");
   print_rule();
 
   double base_rate = 0.0;
   for (const int nodes : node_counts) {
     DistOptions dist_options;
     dist_options.ranks = nodes;
-    dist_options.serialize_compute = true;
 
     dist_options.mode = DistMode::kReadPartition;
     const auto shared =
@@ -81,10 +81,14 @@ int main(int argc, char** argv) {
     const double spread_rate =
         static_cast<double>(w.reads.size()) / spread_time;
 
+    std::uint64_t shared_bytes = 0;
+    for (const auto& cost : shared.costs) shared_bytes += cost.comm.bytes_sent;
+
     if (nodes == 1) base_rate = shared_rate;
-    std::printf("%6d %20.0f (%4.1fx) %20.0f (%4.1fx) %9.0f\n", nodes,
+    std::printf("%6d %20.0f (%4.1fx) %20.0f (%4.1fx) %10.0f %12.2f\n", nodes,
                 shared_rate, shared_rate / base_rate, spread_rate,
-                spread_rate / base_rate, base_rate * nodes);
+                spread_rate / base_rate, base_rate * nodes,
+                static_cast<double>(shared_bytes) / 1e6);
   }
   print_rule();
   std::printf("paper shape: shared-genome tracks the perfect-linear line; "

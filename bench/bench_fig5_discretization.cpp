@@ -5,8 +5,8 @@
 // read-partition mode: "Speeds are nearly the same across all
 // optimizations, with centroid discretization performing slightly worse."
 //
-// Runs execute on mpsim with serialized compute turns; rates come from the
-// alpha-beta cost model as in Figure 4.  Expected shape: the three curves
+// Runs execute on mpsim with per-rank thread-CPU compute time; rates come
+// from the alpha-beta cost model as in Figure 4.  Expected shape: the three curves
 // nearly coincide and scale close to linearly; CENTDISC is slightly lowest
 // (its adds do a 256-way nearest-centroid search).
 #include <cstdio>
@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
   {
     DistOptions warmup;
     warmup.ranks = 1;
-    warmup.serialize_compute = false;
     run_distributed(w.reference, w.reads, base_config, warmup, &shared_index);
   }
   const AccumKind kinds[] = {AccumKind::kNorm, AccumKind::kCharDisc,
@@ -64,7 +63,6 @@ int main(int argc, char** argv) {
       DistOptions dist_options;
       dist_options.ranks = nodes;
       dist_options.mode = DistMode::kReadPartition;
-      dist_options.serialize_compute = true;
       const auto result = run_distributed(w.reference, w.reads, config,
                                           dist_options, &shared_index);
       rates[i] = static_cast<double>(w.reads.size()) /

@@ -64,7 +64,6 @@ int main(int argc, char** argv) {
     DistOptions dist_options;
     dist_options.ranks = 4;
     dist_options.mode = DistMode::kReadPartition;
-    dist_options.serialize_compute = false;
 
     Timer timer;
     const HashIndex index(w.reference, config.index);

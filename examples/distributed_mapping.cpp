@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
     DistOptions options;
     options.ranks = ranks;
     options.mode = mode;
-    options.serialize_compute = true;
     const auto result = run_distributed(reference, reads, config, options,
                                         read_partition ? &shared_index
                                                        : nullptr);
@@ -96,24 +95,6 @@ int main(int argc, char** argv) {
     const double makespan = simulated_makespan(result.costs, cost_params);
     std::printf("modeled cluster makespan: %.2fs -> %.0f sequences/s\n\n",
                 makespan, static_cast<double>(reads.size()) / makespan);
-  }
-
-  // Streaming delivery: same read-partition run, but rank 0 pulls batches
-  // from a ReadStream and ships each shard piecewise instead of every rank
-  // holding the whole read vector.  Calls are byte-identical to the vector
-  // path (the stream is sized, so shards match shard_of exactly).
-  {
-    DistOptions options;
-    options.ranks = ranks;
-    options.mode = DistMode::kReadPartition;
-    VectorReadStream stream(reads, config.stream_batch);
-    const auto result =
-        run_distributed(reference, stream, config, options, &shared_index);
-    const auto eval = evaluate_calls(result.calls, truth);
-    std::printf("--- read partition, streamed delivery ---\n");
-    std::printf("calls %zu (recall %.1f%%, precision %.1f%%)\n",
-                result.calls.size(), eval.recall() * 100.0,
-                eval.precision() * 100.0);
   }
   return 0;
 }

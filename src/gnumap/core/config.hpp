@@ -101,12 +101,6 @@ struct PipelineConfig {
   /// (queue_depth + threads) average-sized SAM chunks, 1 MiB floor); the
   /// in-order chunk is always admitted, so any value is deadlock-free.
   std::uint64_t output_buffer_bytes = 0;
-  /// Legacy output path: keep formatting (SAM rendering + accumulation
-  /// scaling) inside the single ordered drain instead of the mapper
-  /// workers.  Output is byte-identical either way; this exists as the A/B
-  /// baseline for the drain-scaling bench and the equivalence tests, not as
-  /// a supported mode.
-  bool format_in_drain = false;
 };
 
 /// Counters describing one mapping run.
@@ -116,8 +110,8 @@ struct MapStats {
   std::uint64_t candidates_evaluated = 0;
   std::uint64_t sites_accumulated = 0;
   std::uint64_t dp_cells = 0;
-  /// Wall-clock seconds inside the batched PHMM kernels (score_reads path
-  /// only; the scalar score_read path is untimed).  Feeds the alpha-beta
+  /// Wall-clock seconds inside the batched PHMM kernels (score_reads only;
+  /// the scalar oracle, score_reads_raw, is untimed).  Feeds the alpha-beta
   /// cost model and the Figure-4 / Table-3 benches.
   double phmm_forward_seconds = 0.0;
   double phmm_backward_seconds = 0.0;

@@ -4,16 +4,18 @@
 #include <cmath>
 #include <cstring>
 #include <deque>
+#include <iterator>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
+#include <string_view>
 #include <utility>
 
 #include "gnumap/core/obs_bridge.hpp"
 #include "gnumap/core/read_mapper.hpp"
 #include "gnumap/core/snp_caller.hpp"
 #include "gnumap/genome/partition.hpp"
+#include "gnumap/io/read_codec.hpp"
 #include "gnumap/mpsim/communicator.hpp"
 #include "gnumap/obs/trace.hpp"
 #include "gnumap/phmm/batched.hpp"
@@ -57,13 +59,6 @@ struct Cursor {
     at += sizeof(T);
     return v;
   }
-  std::vector<std::uint8_t> take_bytes(std::size_t n) {
-    require(at + n <= data.size(), "deserialize: truncated payload");
-    std::vector<std::uint8_t> v(data.begin() + static_cast<std::ptrdiff_t>(at),
-                                data.begin() + static_cast<std::ptrdiff_t>(at + n));
-    at += n;
-    return v;
-  }
   std::string take_string(std::size_t n) {
     require(at + n <= data.size(), "deserialize: truncated payload");
     std::string s(reinterpret_cast<const char*>(data.data() + at), n);
@@ -72,41 +67,46 @@ struct Cursor {
   }
 };
 
-std::vector<std::uint8_t> serialize_reads(const std::vector<Read>& reads,
-                                          std::size_t begin,
-                                          std::size_t end) {
+/// A batch of reads shipped between ranks: u64 stream offset of its first
+/// read, then the reads in the io codec's form (io/read_codec.hpp) — the
+/// same bytes the fleet's SHARD_READS frames carry.  The offset lets the
+/// receiver detect a lost or reordered batch.
+struct ReadPiece {
+  std::uint64_t offset = 0;
+  std::vector<Read> reads;
+};
+
+std::vector<std::uint8_t> pack_reads(std::uint64_t offset,
+                                     std::span<const Read> reads) {
+  const std::string bytes = io::encode_reads(reads);
   std::vector<std::uint8_t> out;
-  put_u64(out, end - begin);
-  for (std::size_t r = begin; r < end; ++r) {
-    const Read& read = reads[r];
-    put_u32(out, static_cast<std::uint32_t>(read.name.size()));
-    out.insert(out.end(), read.name.begin(), read.name.end());
-    put_u32(out, static_cast<std::uint32_t>(read.bases.size()));
-    out.insert(out.end(), read.bases.begin(), read.bases.end());
-    out.insert(out.end(), read.quals.begin(), read.quals.end());
-  }
+  out.reserve(sizeof(offset) + bytes.size());
+  put_u64(out, offset);
+  out.insert(out.end(), bytes.begin(), bytes.end());
   return out;
 }
 
-std::vector<std::uint8_t> serialize_reads(const std::vector<Read>& reads) {
-  return serialize_reads(reads, 0, reads.size());
+ReadPiece unpack_reads(const std::vector<std::uint8_t>& payload) {
+  Cursor cursor{payload};
+  ReadPiece piece;
+  piece.offset = cursor.take<std::uint64_t>();
+  piece.reads = io::decode_reads(
+      std::string_view(reinterpret_cast<const char*>(payload.data()),
+                       payload.size())
+          .substr(cursor.at));
+  return piece;
 }
 
-std::vector<Read> deserialize_reads(const std::vector<std::uint8_t>& bytes) {
-  Cursor cursor{bytes};
-  const std::uint64_t count = cursor.take<std::uint64_t>();
-  std::vector<Read> reads;
-  reads.reserve(count);
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Read read;
-    const auto name_len = cursor.take<std::uint32_t>();
-    read.name = cursor.take_string(name_len);
-    const auto len = cursor.take<std::uint32_t>();
-    read.bases = cursor.take_bytes(len);
-    read.quals = cursor.take_bytes(len);
-    reads.push_back(std::move(read));
+/// Throws the retryable CommError when a received batch does not start
+/// where the receiver's cursor stands: an injected drop or delay lost or
+/// reordered a batch, and mapping on would skew the checkpoint cursor.
+void expect_offset(const ReadPiece& piece, std::uint64_t expected, int rank) {
+  if (piece.offset != expected) {
+    throw CommError("rank " + std::to_string(rank) +
+                    ": read batch at offset " + std::to_string(piece.offset) +
+                    ", expected " + std::to_string(expected) +
+                    " (a batch was lost or reordered)");
   }
-  return reads;
 }
 
 std::vector<std::uint8_t> serialize_calls(const std::vector<SnpCall>& calls) {
@@ -154,10 +154,11 @@ std::vector<std::uint8_t> serialize_rank_output(
     const std::vector<SnpCall>& calls) {
   std::string tsv;
   append_snps_tsv_body(tsv, calls);
+  const auto call_bytes = serialize_calls(calls);
   std::vector<std::uint8_t> out;
+  out.reserve(sizeof(std::uint64_t) + tsv.size() + call_bytes.size());
   put_u64(out, tsv.size());
   out.insert(out.end(), tsv.begin(), tsv.end());
-  const auto call_bytes = serialize_calls(calls);
   out.insert(out.end(), call_bytes.begin(), call_bytes.end());
   return out;
 }
@@ -183,26 +184,13 @@ void splice_rank_outputs(const std::vector<std::vector<std::uint8_t>>& gathered,
   }
 }
 
-/// Runs `fn` as this rank's compute turn.  When `serialize` is set, ranks
-/// take strictly ordered turns (barrier-separated) so wall-clock attribution
-/// on a single core is clean; the stopwatch brackets only this rank's work.
+/// Runs `fn` as one of this rank's compute phases: the rank's CPU-time
+/// clock brackets only this work (mpsim/communicator.hpp, compute_clock).
 template <typename Fn>
-void compute_turn(Communicator& comm, bool serialize, Stopwatch& clock,
-                  Fn&& fn) {
-  if (!serialize) {
-    clock.start();
-    { GNUMAP_TRACE_SPAN("compute_turn", "compute"); fn(); }
-    clock.stop();
-    return;
-  }
-  for (int turn = 0; turn < comm.size(); ++turn) {
-    if (turn == comm.rank()) {
-      clock.start();
-      { GNUMAP_TRACE_SPAN("compute_turn", "compute"); fn(); }
-      clock.stop();
-    }
-    comm.barrier();
-  }
+void compute_turn(Stopwatch& clock, Fn&& fn) {
+  clock.start();
+  { GNUMAP_TRACE_SPAN("compute_turn", "compute"); fn(); }
+  clock.stop();
 }
 
 // ---------------------------------------------------------------------------
@@ -257,12 +245,6 @@ class CheckpointStore {
     return std::nullopt;
   }
 
-  std::uint64_t latest_progress(int rank) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto& history = per_rank_[static_cast<std::size_t>(rank)];
-    return history.empty() ? 0 : history.back().progress;
-  }
-
   /// Highest progress value every rank has a snapshot for.  Ranks take
   /// snapshots at identical deterministic boundaries, so the minimum of the
   /// per-rank maxima is reachable by every rank (0 = start over).
@@ -280,413 +262,22 @@ class CheckpointStore {
   std::vector<std::vector<Checkpoint>> per_rank_;
 };
 
-/// Read-index ranges reclaimed from dead ranks, per surviving rank.
-using ExtraRanges = std::vector<std::vector<std::pair<std::size_t, std::size_t>>>;
-
-std::pair<std::size_t, std::size_t> shard_of(std::size_t total_reads, int rank,
-                                             int ranks) {
-  const std::size_t begin = total_reads * static_cast<std::size_t>(rank) /
-                            static_cast<std::size_t>(ranks);
-  const std::size_t end = total_reads * (static_cast<std::size_t>(rank) + 1) /
-                          static_cast<std::size_t>(ranks);
-  return {begin, end};
-}
-
-/// Everything one attempt's rank bodies need, fixed for that attempt.
-struct AttemptContext {
-  const Genome& genome;
-  const std::vector<Read>& reads;
-  const PipelineConfig& config;
-  const DistOptions& options;
-  const HashIndex* shared_index;
-  CheckpointStore& store;
-  bool fault_mode = false;
-  std::uint64_t checkpoint_interval = 0;
-  /// Ranks lost to kReclaimReads: they restore their last checkpoint and
-  /// contribute it to the reduction, but map nothing further.
-  const std::set<int>& lost;
-  const ExtraRanges& extra;      ///< reclaimed read ranges per rank
-  std::uint64_t resume_reads = 0;  ///< genome-partition common resume offset
-  DistResult& result;
-  std::mutex& result_mutex;
-};
-
 // ---------------------------------------------------------------------------
-// Read-partition mode ("shared memory mode"): every rank holds the full
-// genome and maps a shard of the reads; accumulators reduce at rank 0.
-
-void run_read_partition_rank(Communicator& comm, const AttemptContext& ctx) {
-  const int rank = comm.rank();
-  const int p = comm.size();
-  const PipelineConfig& config = ctx.config;
-  Stopwatch& clock = comm.compute_clock();
-
-  std::optional<HashIndex> own_index;
-  const HashIndex* index = ctx.shared_index;
-  if (index == nullptr) {
-    compute_turn(comm, ctx.options.serialize_compute, clock, [&] {
-      own_index.emplace(ctx.genome, config.index);
-    });
-    index = &*own_index;
-  }
-  const ReadMapper mapper(ctx.genome, *index, config);
-  auto accum = make_accumulator(config.accum_kind, 0, ctx.genome.padded_size(),
-                                config.centdisc_quantize);
-
-  const auto [shard_begin, shard_end] =
-      shard_of(ctx.reads.size(), rank, p);
-  const std::uint64_t shard_size = shard_end - shard_begin;
-  const bool ghost = ctx.lost.count(rank) > 0;
-
-  MapStats stats;
-  std::uint64_t done = 0;  // reads of this rank's shard completed
-  if (ctx.fault_mode) {
-    if (const auto cp = ctx.store.latest(rank)) {
-      GNUMAP_TRACE_SPAN("checkpoint_restore", "ckpt");
-      accum->from_bytes(cp->accum);
-      stats = cp->stats;
-      done = cp->progress;
-    }
-  }
-
-  compute_turn(comm, ctx.options.serialize_compute, clock, [&] {
-    if (ghost) return;  // recovered from stable storage; shard reclaimed
-    MapperWorkspace ws;
-    // Reads are scored in SIMD batches, but accumulated — and stepped past
-    // the fault-injection clock — one at a time, so checkpoint contents and
-    // crash points land exactly where the per-read loop put them.
-    constexpr std::size_t kScoreBatch = 32;
-    auto map_range = [&](std::size_t range_begin, std::size_t range_end,
-                         bool checkpointing) {
-      std::size_t r = range_begin;
-      while (r < range_end) {
-        const std::size_t len =
-            std::min<std::size_t>(kScoreBatch, range_end - r);
-        const auto scored = mapper.score_reads(
-            std::span<const Read>(ctx.reads.data() + r, len), ws, stats);
-        for (const auto& sites : scored) {
-          ReadMapper::accumulate(sites, *accum);
-          if (checkpointing) {
-            ++done;
-            comm.step();
-            if (ctx.fault_mode && ctx.checkpoint_interval > 0 &&
-                done % ctx.checkpoint_interval == 0 && done < shard_size) {
-              obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                                     static_cast<double>(done));
-              ctx.store.save(rank, Checkpoint{done, accum->to_bytes(), {},
-                                              {}, stats, 0},
-                             /*keep_history=*/false);
-            }
-          } else {
-            comm.step();
-          }
-        }
-        r += len;
-      }
-    };
-    map_range(shard_begin + done, shard_end, /*checkpointing=*/true);
-    if (ctx.fault_mode) {
-      // Final shard snapshot: a crash during the reduction restarts
-      // without redoing any mapping.  Taken before reclaimed ranges so a
-      // later restore never double-counts them.
-      obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                             static_cast<double>(done));
-      ctx.store.save(rank, Checkpoint{done, accum->to_bytes(), {}, {},
-                                      stats, 0},
-                     /*keep_history=*/false);
-    }
-    for (const auto& [extra_begin, extra_end] :
-         ctx.extra[static_cast<std::size_t>(rank)]) {
-      map_range(extra_begin, extra_end, /*checkpointing=*/false);
-    }
-  });
-
-  // Reduce the genome state at rank 0 (the end-of-run communication).
-  auto reduced = comm.reduce(
-      0, accum->to_bytes(),
-      [&](std::vector<std::uint8_t> a, std::vector<std::uint8_t> b) {
-        auto left = make_accumulator(config.accum_kind, 0,
-                                     ctx.genome.padded_size(),
-                                     config.centdisc_quantize);
-        auto right = make_accumulator(config.accum_kind, 0,
-                                      ctx.genome.padded_size(),
-                                      config.centdisc_quantize);
-        left->from_bytes(a);
-        right->from_bytes(b);
-        left->merge(*right);
-        return left->to_bytes();
-      });
-
-  std::vector<SnpCall> calls;
-  if (rank == 0) {
-    accum->from_bytes(reduced);
-    clock.start();
-    calls = call_snps(ctx.genome, *accum, config);
-    clock.stop();
-  }
-
-  std::lock_guard<std::mutex> lock(ctx.result_mutex);
-  ctx.result.stats += stats;
-  ctx.result.max_rank_accum_bytes =
-      std::max(ctx.result.max_rank_accum_bytes, accum->memory_bytes());
-  ctx.result.total_accum_bytes += accum->memory_bytes();
-  if (index != nullptr) {
-    ctx.result.max_rank_index_bytes =
-        std::max(ctx.result.max_rank_index_bytes, index->memory_bytes());
-  }
-  if (rank == 0) {
-    // Rank-local formatting: only rank 0 holds final calls in this mode, so
-    // it renders the whole document (locale-independent append API).
-    append_snps_tsv(ctx.result.tsv, calls);
-    ctx.result.calls = std::move(calls);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Genome-partition mode ("spread memory mode"): genome segments, reads
-// broadcast, per-read score normalization via allreduce, halo exchange.
-
-void run_genome_partition_rank(Communicator& comm, const AttemptContext& ctx) {
-  const int rank = comm.rank();
-  const int p = comm.size();
-  const PipelineConfig& config = ctx.config;
-  const std::vector<Read>& reads = ctx.reads;
-  Stopwatch& clock = comm.compute_clock();
-
-  std::uint32_t max_read_len = 0;
-  for (const auto& read : reads) {
-    max_read_len =
-        std::max(max_read_len, static_cast<std::uint32_t>(read.length()));
-  }
-  const std::uint64_t margin =
-      static_cast<std::uint64_t>(max_read_len) +
-      static_cast<std::uint64_t>(config.window_pad) +
-      static_cast<std::uint64_t>(config.seeder.band_width);
-  const auto segments = partition_genome(ctx.genome, p, margin);
-  // The halo exchange below assumes halos only reach into *adjacent*
-  // cores; require every segment to be at least one margin long.
-  for (const auto& s : segments) {
-    require(s.core_end - s.core_begin >= margin,
-            "run_distributed: genome too small for this many ranks "
-            "(segment shorter than the read-length margin)");
-  }
-  const GenomeSegment& seg = segments[static_cast<std::size_t>(rank)];
-
-  std::optional<HashIndex> index;
-  compute_turn(comm, ctx.options.serialize_compute, clock, [&] {
-    index.emplace(ctx.genome, config.index, seg.store_begin, seg.store_end);
-  });
-  const ReadMapper mapper(ctx.genome, *index, config);
-  // The rank accumulates over its core plus halos: a read whose diagonal
-  // this rank owns can contribute to positions just inside a neighbor's
-  // core.  Halo slices are exchanged after mapping (below) so every
-  // position's owner sees the full evidence.
-  auto accum = make_accumulator(config.accum_kind, seg.core_begin,
-                                seg.core_end - seg.core_begin,
-                                config.centdisc_quantize);
-  std::unique_ptr<Accumulator> left_halo, right_halo;
-  if (seg.store_begin < seg.core_begin) {
-    left_halo = make_accumulator(config.accum_kind, seg.store_begin,
-                                 seg.core_begin - seg.store_begin,
-                                 config.centdisc_quantize);
-  }
-  if (seg.store_end > seg.core_end) {
-    right_halo = make_accumulator(config.accum_kind, seg.core_end,
-                                  seg.store_end - seg.core_end,
-                                  config.centdisc_quantize);
-  }
-  auto accumulate_everywhere = [&](const ScoredSite& site) {
-    ReadMapper::accumulate_site(site, *accum);
-    if (left_halo) ReadMapper::accumulate_site(site, *left_halo);
-    if (right_halo) ReadMapper::accumulate_site(site, *right_halo);
-  };
-
-  MapStats stats;
-  std::uint64_t mapped_reads = 0;
-  const std::size_t total_reads = reads.size();
-  std::size_t resume_begin = 0;
-  if (ctx.fault_mode && ctx.resume_reads > 0) {
-    GNUMAP_TRACE_SPAN("checkpoint_restore", "ckpt");
-    const auto cp = ctx.store.at(rank, ctx.resume_reads);
-    require(cp.has_value(),
-            "run_distributed: missing checkpoint at common resume point");
-    accum->from_bytes(cp->accum);
-    if (left_halo && !cp->left_halo.empty()) {
-      left_halo->from_bytes(cp->left_halo);
-    }
-    if (right_halo && !cp->right_halo.empty()) {
-      right_halo->from_bytes(cp->right_halo);
-    }
-    stats = cp->stats;
-    mapped_reads = cp->mapped_reads;
-    resume_begin = ctx.resume_reads;
-  }
-
-  MapperWorkspace ws;
-  for (std::size_t batch_begin = resume_begin; batch_begin < total_reads;
-       batch_begin += ctx.options.batch_size) {
-    const std::size_t batch_end =
-        std::min(total_reads, batch_begin + ctx.options.batch_size);
-    // Rank 0 broadcasts the batch; every rank pays the communication.
-    std::vector<std::uint8_t> payload;
-    if (rank == 0) payload = serialize_reads(reads, batch_begin, batch_end);
-    payload = comm.bcast(0, std::move(payload));
-    const std::vector<Read> batch = deserialize_reads(payload);
-
-    // Score local candidates (one SIMD batch per broadcast batch); collect
-    // per-read raw likelihood sums.
-    std::vector<double> likelihood_sum(batch.size(), 0.0);
-    std::vector<std::vector<ScoredSite>> scored(batch.size());
-    compute_turn(comm, ctx.options.serialize_compute, clock, [&] {
-      scored = mapper.score_reads(
-          std::span<const Read>(batch.data(), batch.size()), ws, stats,
-          seg.core_begin, seg.core_end);
-      // score_reads already applied the per-read softmax locally; undo
-      // nothing — we need raw likelihoods, which it kept in
-      // log_likelihood.  Recompute the local raw sum.
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        for (const auto& site : scored[r]) {
-          likelihood_sum[r] += std::exp(site.log_likelihood);
-        }
-      }
-    });
-
-    // Cross-machine score normalization (the paper's "calculates the
-    // final score" traffic): total likelihood across all segments.
-    comm.allreduce_sum(likelihood_sum);
-
-    compute_turn(comm, ctx.options.serialize_compute, clock, [&] {
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        const double total = likelihood_sum[r];
-        if (!(total > 0.0)) continue;
-        // Global mapped test mirrors the serial per-base cutoff.
-        const double cutoff = std::exp(
-            config.min_loglik_per_base *
-            static_cast<double>(batch[r].length()));
-        if (total < cutoff) continue;
-        if (rank == 0) ++mapped_reads;
-        for (auto& site : scored[r]) {
-          const double weight = std::exp(site.log_likelihood) / total;
-          if (weight < config.min_site_posterior) continue;
-          site.weight = weight;
-          accumulate_everywhere(site);
-        }
-      }
-    });
-
-    comm.step();
-    if (ctx.fault_mode && ctx.checkpoint_interval > 0) {
-      // Batch boundaries are a fixed grid (multiples of batch_size), so
-      // every rank snapshots at the same `progress` values across
-      // attempts — the invariant common_progress() relies on.
-      const std::uint64_t batches_done =
-          (batch_end + ctx.options.batch_size - 1) / ctx.options.batch_size;
-      if (batches_done % ctx.checkpoint_interval == 0 ||
-          batch_end == total_reads) {
-        obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                               static_cast<double>(batch_end));
-        ctx.store.save(
-            rank,
-            Checkpoint{batch_end, accum->to_bytes(),
-                       left_halo ? left_halo->to_bytes()
-                                 : std::vector<std::uint8_t>{},
-                       right_halo ? right_halo->to_bytes()
-                                  : std::vector<std::uint8_t>{},
-                       stats, mapped_reads},
-            /*keep_history=*/true);
-      }
-    }
-  }
-
-  // Halo exchange: ship the slices that spilled past this rank's core to
-  // their owners, and fold the neighbors' spill into this core.  One
-  // message to each neighbor; merged position-by-position because the
-  // halo range is a sub-range of the receiver's core.
-  constexpr int kHaloLeftTag = 101;   // payload heading to rank - 1
-  constexpr int kHaloRightTag = 102;  // payload heading to rank + 1
-  auto fold_halo = [&](const std::vector<std::uint8_t>& bytes,
-                       GenomePos begin, GenomePos end) {
-    if (bytes.empty()) return;
-    auto temp = make_accumulator(config.accum_kind, begin, end - begin,
-                                 config.centdisc_quantize);
-    temp->from_bytes(bytes);
-    for (GenomePos pos = begin; pos < end; ++pos) {
-      const TrackVector counts = temp->counts(pos);
-      bool any = false;
-      for (const float v : counts) any |= v > 0.0f;
-      if (any) accum->add(pos, counts);
-    }
-  };
-  if (p > 1) {
-    GNUMAP_TRACE_SPAN("halo_exchange", "comm");
-    // Even/odd phases avoid send/recv ordering deadlock... not needed:
-    // mpsim sends are buffered, so everyone sends first, then receives.
-    if (rank > 0) {
-      comm.send(rank - 1, kHaloLeftTag,
-                left_halo ? left_halo->to_bytes()
-                          : std::vector<std::uint8_t>{});
-    }
-    if (rank + 1 < p) {
-      comm.send(rank + 1, kHaloRightTag,
-                right_halo ? right_halo->to_bytes()
-                           : std::vector<std::uint8_t>{});
-    }
-    if (rank + 1 < p) {
-      // Neighbor r+1's left halo covers [their store_begin, their
-      // core_begin) = a suffix of this rank's core.
-      const auto& next = segments[static_cast<std::size_t>(rank + 1)];
-      fold_halo(comm.recv(rank + 1, kHaloLeftTag), next.store_begin,
-                next.core_begin);
-    }
-    if (rank > 0) {
-      const auto& prev = segments[static_cast<std::size_t>(rank - 1)];
-      fold_halo(comm.recv(rank - 1, kHaloRightTag), prev.core_end,
-                prev.store_end);
-    }
-  }
-
-  // Each rank calls SNPs on the segment it owns; gather at rank 0.
-  std::vector<SnpCall> local_calls;
-  compute_turn(comm, ctx.options.serialize_compute, clock, [&] {
-    local_calls =
-        call_snps(ctx.genome, *accum, config, seg.core_begin, seg.core_end);
-  });
-  auto gathered = comm.gather(0, serialize_rank_output(local_calls));
-
-  std::lock_guard<std::mutex> lock(ctx.result_mutex);
-  // In this mode every rank sees every read; count the stream once.
-  stats.reads_total = rank == 0 ? total_reads : 0;
-  stats.reads_mapped = rank == 0 ? mapped_reads : 0;
-  ctx.result.stats += stats;
-  ctx.result.max_rank_accum_bytes =
-      std::max(ctx.result.max_rank_accum_bytes, accum->memory_bytes());
-  ctx.result.total_accum_bytes += accum->memory_bytes();
-  ctx.result.max_rank_index_bytes =
-      std::max(ctx.result.max_rank_index_bytes, index->memory_bytes());
-  if (rank == 0) {
-    splice_rank_outputs(gathered, ctx.result.tsv, ctx.result.calls);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Streaming variants (dist_modes.hpp overload taking a ReadStream).
-//
-// The compute bodies are the legacy ones; only read *delivery* changes.
-// Rank 0 owns the stream and never materializes it: read-partition ships
-// batches point-to-point under an ack window, genome-partition re-batches
-// into the same broadcast payloads the vector path builds.  Compute is
-// never barrier-serialized here (stages are meant to overlap), so
-// serialize_compute is ignored; per-rank compute seconds still bracket only
-// that rank's work.
+// Rank bodies.  Rank 0 owns the read stream and never materializes it:
+// read-partition deals batches point-to-point under an ack window (a
+// rank's shard is the reads dealt to it, in delivery order),
+// genome-partition re-batches into fixed-size broadcast payloads.  Per-rank
+// compute seconds bracket only that rank's work.
 
 /// Read-partition delivery protocol: rank 0 -> owner, one message per
-/// shipped piece; the owner acks each piece after mapping it so rank 0
-/// keeps at most `queue_depth` pieces in flight per rank.
-constexpr int kStreamBatchTag = 110;  // serialized reads; empty = end of shard
+/// shipped piece, its offset counted within the owner's shard; the owner
+/// acks each piece after mapping it so rank 0 keeps at most `queue_depth`
+/// pieces in flight per rank.
+constexpr int kStreamBatchTag = 110;  // packed reads; empty = end of shard
 constexpr int kStreamAckTag = 111;    // empty payload back per mapped piece
 
-/// Everything one streaming attempt's rank bodies need, fixed for that
-/// attempt.  Only rank 0 may touch `reads`.
+/// Everything one attempt's rank bodies need, fixed for that attempt.
+/// Only rank 0 may touch `reads`.
 struct StreamAttemptContext {
   const Genome& genome;
   ReadStream& reads;
@@ -712,7 +303,7 @@ void run_read_partition_rank_stream(Communicator& comm,
   std::optional<HashIndex> own_index;
   const HashIndex* index = ctx.shared_index;
   if (index == nullptr) {
-    compute_turn(comm, /*serialize=*/false, clock, [&] {
+    compute_turn(clock, [&] {
       own_index.emplace(ctx.genome, config.index);
     });
     index = &*own_index;
@@ -723,6 +314,12 @@ void run_read_partition_rank_stream(Communicator& comm,
 
   MapStats stats;
   std::uint64_t done = 0;  // reads of this rank's (virtual) shard completed
+  auto snapshot = [&] {
+    obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
+                           static_cast<double>(done));
+    ctx.store.save(rank, Checkpoint{done, accum->to_bytes(), {}, {}, stats, 0},
+                   /*keep_history=*/false);
+  };
   if (ctx.fault_mode) {
     if (const auto cp = ctx.store.latest(rank)) {
       GNUMAP_TRACE_SPAN("checkpoint_restore", "ckpt");
@@ -736,29 +333,28 @@ void run_read_partition_rank_stream(Communicator& comm,
   // Maps one delivered piece of this rank's shard, in delivery order.
   // Scoring is chunked for the SIMD engine (bit-identical at any chunking,
   // see phmm/batched.hpp) but accumulated — and stepped past the
-  // fault-injection clock — one read at a time, exactly like the vector
-  // path, so checkpoints and crash points land on the same grid.
+  // fault-injection clock — one read at a time, so checkpoints and crash
+  // points land on a per-read grid.  A chunk never straddles a checkpoint,
+  // so a snapshot's stats count exactly the reads its accumulator holds.
+  const bool checkpointing = ctx.fault_mode && ctx.checkpoint_interval > 0;
   auto process_reads = [&](const std::vector<Read>& piece) {
-    compute_turn(comm, /*serialize=*/false, clock, [&] {
+    compute_turn(clock, [&] {
       constexpr std::size_t kScoreBatch = 32;
       std::size_t r = 0;
       while (r < piece.size()) {
-        const std::size_t len =
-            std::min<std::size_t>(kScoreBatch, piece.size() - r);
+        std::size_t len = std::min<std::size_t>(kScoreBatch, piece.size() - r);
+        if (checkpointing) {
+          len = static_cast<std::size_t>(std::min<std::uint64_t>(
+              len, ctx.checkpoint_interval - done % ctx.checkpoint_interval));
+        }
         const auto scored = mapper.score_reads(
             std::span<const Read>(piece.data() + r, len), ws, stats);
         for (const auto& sites : scored) {
           ReadMapper::accumulate(sites, *accum);
           ++done;
           comm.step();
-          if (ctx.fault_mode && ctx.checkpoint_interval > 0 &&
-              done % ctx.checkpoint_interval == 0) {
-            obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                                   static_cast<double>(done));
-            ctx.store.save(rank,
-                           Checkpoint{done, accum->to_bytes(), {}, {}, stats,
-                                      0},
-                           /*keep_history=*/false);
+          if (checkpointing && done % ctx.checkpoint_interval == 0) {
+            snapshot();
           }
         }
         r += len;
@@ -778,89 +374,85 @@ void run_read_partition_rank_stream(Communicator& comm,
     std::vector<std::uint64_t> outstanding(static_cast<std::size_t>(p), 0);
     if (ctx.fault_mode) {
       for (int r = 0; r < p; ++r) {
-        skip[static_cast<std::size_t>(r)] = ctx.store.latest_progress(r);
+        if (const auto cp = ctx.store.latest(r)) {
+          skip[static_cast<std::size_t>(r)] = cp->progress;
+        }
       }
     }
 
-    auto deliver = [&](int dest, std::vector<Read>&& piece) {
-      if (piece.empty()) return;
+    // Shard offset just past the last read assigned to each rank, restored
+    // prefix included: where that rank's cursor stands once it has mapped
+    // everything shipped so far.
+    std::vector<std::uint64_t> assigned(static_cast<std::size_t>(p), 0);
+    // Assigns reads [first, last) — the next ones of `dest`'s shard — and
+    // ships all but the restored prefix.
+    auto assign = [&](int dest, std::vector<Read>::iterator first,
+                      std::vector<Read>::iterator last) {
+      const auto d = static_cast<std::size_t>(dest);
+      const std::uint64_t off = assigned[d];
+      const auto n = static_cast<std::uint64_t>(last - first);
+      assigned[d] += n;
+      const std::uint64_t drop = skip[d] > off ? std::min(n, skip[d] - off) : 0;
+      if (drop == n) return;
+      const std::vector<Read> piece(
+          std::make_move_iterator(first + static_cast<std::ptrdiff_t>(drop)),
+          std::make_move_iterator(last));
       if (dest == 0) {
         process_reads(piece);
         return;
       }
-      auto& pending = outstanding[static_cast<std::size_t>(dest)];
+      auto& pending = outstanding[d];
       while (pending >= window) {
         comm.recv(dest, kStreamAckTag);
         --pending;
       }
-      comm.send(dest, kStreamBatchTag, serialize_reads(piece));
+      comm.send(dest, kStreamBatchTag, pack_reads(off + drop, piece));
       ++pending;
     };
 
-    ReadBatch batch;
-    if (size_hint.has_value()) {
-      // Sized stream: pieces follow the vector path's contiguous shard_of
-      // boundaries, so per-rank read sets — and hence accumulators, the
-      // reduce, and the calls — are byte-identical to it.
-      std::vector<std::pair<std::size_t, std::size_t>> shards(
-          static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        shards[static_cast<std::size_t>(r)] =
-            shard_of(static_cast<std::size_t>(*size_hint), r, p);
-      }
-      int dest = 0;
-      while (ctx.reads.next(batch)) {
-        std::size_t i = 0;
-        while (i < batch.reads.size()) {
-          const std::uint64_t g = batch.first_index + i;
-          while (dest + 1 < p &&
-                 g >= shards[static_cast<std::size_t>(dest)].second) {
-            ++dest;
-          }
-          const auto& [shard_begin, shard_end] =
-              shards[static_cast<std::size_t>(dest)];
-          const std::size_t len = static_cast<std::size_t>(
-              std::min<std::uint64_t>(batch.reads.size() - i, shard_end - g));
-          const std::uint64_t off = g - shard_begin;  // offset within shard
-          const std::size_t drop =
-              off < skip[static_cast<std::size_t>(dest)]
-                  ? static_cast<std::size_t>(std::min<std::uint64_t>(
-                        len, skip[static_cast<std::size_t>(dest)] - off))
+    // Deal the stream round-robin in slices of about one batch, rank 0
+    // last in each round so it ships before it maps and every rank works
+    // from the start.  A sized stream is cut into rounds x p slices of
+    // equal size (within one read), so ranks map equal read counts give or
+    // take one read per round; an unsized stream deals whole batches.
+    const std::uint64_t per_round =
+        static_cast<std::uint64_t>(p) *
+        std::max<std::uint64_t>(1, ctx.reads.batch_size());
+    const std::uint64_t slices =
+        size_hint ? static_cast<std::uint64_t>(p) *
+                        std::max<std::uint64_t>(
+                            1, (*size_hint + per_round - 1) / per_round)
                   : 0;
-          std::vector<Read> piece(
-              batch.reads.begin() + static_cast<std::ptrdiff_t>(i + drop),
-              batch.reads.begin() + static_cast<std::ptrdiff_t>(i + len));
-          deliver(dest, std::move(piece));
-          i += len;
+    auto slice_end = [&](std::uint64_t k) {
+      return *size_hint * (k + 1) / slices;
+    };
+    std::uint64_t slice = 0;
+    ReadBatch batch;
+    while (ctx.reads.next(batch)) {
+      auto it = batch.reads.begin();
+      while (it != batch.reads.end()) {
+        auto len = static_cast<std::uint64_t>(batch.reads.end() - it);
+        if (size_hint) {
+          const std::uint64_t g =
+              batch.first_index +
+              static_cast<std::uint64_t>(it - batch.reads.begin());
+          while (slice + 1 < slices && g >= slice_end(slice)) ++slice;
+          if (g < slice_end(slice)) len = std::min(len, slice_end(slice) - g);
         }
+        const auto dest =
+            static_cast<int>((slice + 1) % static_cast<std::uint64_t>(p));
+        assign(dest, it, it + static_cast<std::ptrdiff_t>(len));
+        it += static_cast<std::ptrdiff_t>(len);
       }
-    } else {
-      // Unsized stream: deal whole batches round-robin.  Deterministic, so
-      // recovery still replays the same assignment — but not the vector
-      // path's shards, so byte-identity with it is not promised here.
-      std::uint64_t seq = 0;
-      std::vector<std::uint64_t> dealt(static_cast<std::size_t>(p), 0);
-      while (ctx.reads.next(batch)) {
-        const int dest = static_cast<int>(seq++ % static_cast<std::uint64_t>(p));
-        const std::uint64_t off = dealt[static_cast<std::size_t>(dest)];
-        dealt[static_cast<std::size_t>(dest)] += batch.reads.size();
-        const std::size_t drop =
-            off < skip[static_cast<std::size_t>(dest)]
-                ? static_cast<std::size_t>(std::min<std::uint64_t>(
-                      batch.reads.size(),
-                      skip[static_cast<std::size_t>(dest)] - off))
-                : 0;
-        std::vector<Read> piece(
-            batch.reads.begin() + static_cast<std::ptrdiff_t>(drop),
-            batch.reads.end());
-        deliver(dest, std::move(piece));
-      }
+      if (!size_hint) ++slice;
     }
 
-    // End-of-stream: an empty payload per rank, then drain the remaining
-    // acks so the attempt's message ledger balances.
+    // End-of-stream: an empty piece per rank at its shard's end offset,
+    // then drain the remaining acks so the attempt's message ledger
+    // balances.
     for (int r = 1; r < p; ++r) {
-      comm.send(r, kStreamBatchTag, serialize_reads(std::vector<Read>{}));
+      comm.send(r, kStreamBatchTag,
+                pack_reads(assigned[static_cast<std::size_t>(r)], {}));
       auto& pending = outstanding[static_cast<std::size_t>(r)];
       while (pending > 0) {
         comm.recv(r, kStreamAckTag);
@@ -869,22 +461,17 @@ void run_read_partition_rank_stream(Communicator& comm,
     }
   } else {
     for (;;) {
-      const std::vector<Read> piece =
-          deserialize_reads(comm.recv(0, kStreamBatchTag));
-      if (piece.empty()) break;
-      process_reads(piece);
+      const ReadPiece piece = unpack_reads(comm.recv(0, kStreamBatchTag));
+      expect_offset(piece, done, rank);
+      if (piece.reads.empty()) break;
+      process_reads(piece.reads);
       comm.send(0, kStreamAckTag, {});
     }
   }
 
-  if (ctx.fault_mode) {
-    // Final shard snapshot, as in the vector path: a crash during the
-    // reduction restarts without redoing any mapping.
-    obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                           static_cast<double>(done));
-    ctx.store.save(rank, Checkpoint{done, accum->to_bytes(), {}, {}, stats, 0},
-                   /*keep_history=*/false);
-  }
+  // Final shard snapshot: a crash during the reduction restarts without
+  // redoing any mapping.
+  if (ctx.fault_mode) snapshot();
 
   // Reduce the genome state at rank 0 (the end-of-run communication).
   auto reduced = comm.reduce(
@@ -915,10 +502,8 @@ void run_read_partition_rank_stream(Communicator& comm,
   ctx.result.max_rank_accum_bytes =
       std::max(ctx.result.max_rank_accum_bytes, accum->memory_bytes());
   ctx.result.total_accum_bytes += accum->memory_bytes();
-  if (index != nullptr) {
-    ctx.result.max_rank_index_bytes =
-        std::max(ctx.result.max_rank_index_bytes, index->memory_bytes());
-  }
+  ctx.result.max_rank_index_bytes =
+      std::max(ctx.result.max_rank_index_bytes, index->memory_bytes());
   if (rank == 0) {
     // Rank-local formatting: only rank 0 holds final calls in this mode, so
     // it renders the whole document (locale-independent append API).
@@ -934,8 +519,8 @@ void run_genome_partition_rank_stream(Communicator& comm,
   const PipelineConfig& config = ctx.config;
   Stopwatch& clock = comm.compute_clock();
 
-  // The margin comes from the driver (options.max_read_len or a prescan of
-  // the stream) instead of a pass over an in-memory vector.
+  // The margin comes from run_distributed (options.max_read_len or a
+  // prescan).
   const std::uint64_t margin =
       static_cast<std::uint64_t>(ctx.max_read_len) +
       static_cast<std::uint64_t>(config.window_pad) +
@@ -949,7 +534,7 @@ void run_genome_partition_rank_stream(Communicator& comm,
   const GenomeSegment& seg = segments[static_cast<std::size_t>(rank)];
 
   std::optional<HashIndex> index;
-  compute_turn(comm, /*serialize=*/false, clock, [&] {
+  compute_turn(clock, [&] {
     index.emplace(ctx.genome, config.index, seg.store_begin, seg.store_end);
   });
   const ReadMapper mapper(ctx.genome, *index, config);
@@ -972,9 +557,21 @@ void run_genome_partition_rank_stream(Communicator& comm,
     if (left_halo) ReadMapper::accumulate_site(site, *left_halo);
     if (right_halo) ReadMapper::accumulate_site(site, *right_halo);
   };
+  auto halo_bytes = [](const std::unique_ptr<Accumulator>& halo) {
+    return halo ? halo->to_bytes() : std::vector<std::uint8_t>{};
+  };
 
   MapStats stats;
   std::uint64_t mapped_reads = 0;
+  auto snapshot = [&](std::uint64_t progress) {
+    obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
+                           static_cast<double>(progress));
+    ctx.store.save(rank,
+                   Checkpoint{progress, accum->to_bytes(),
+                              halo_bytes(left_halo), halo_bytes(right_halo),
+                              stats, mapped_reads},
+                   /*keep_history=*/true);
+  };
   std::uint64_t batch_begin = ctx.resume_reads;  // global read offset
   if (ctx.fault_mode && ctx.resume_reads > 0) {
     GNUMAP_TRACE_SPAN("checkpoint_restore", "ckpt");
@@ -993,7 +590,7 @@ void run_genome_partition_rank_stream(Communicator& comm,
   }
 
   // Rank 0 re-batches the stream into exactly options.batch_size broadcast
-  // payloads — the same batches the vector path slices — carrying leftover
+  // payloads — a fixed grid of read offsets — carrying leftover
   // reads between pulls; an empty payload terminates every rank's loop.
   std::deque<Read> carry;
   bool exhausted = false;
@@ -1015,16 +612,17 @@ void run_genome_partition_rank_stream(Communicator& comm,
           std::make_move_iterator(carry.begin()),
           std::make_move_iterator(carry.begin() + static_cast<std::ptrdiff_t>(n)));
       carry.erase(carry.begin(), carry.begin() + static_cast<std::ptrdiff_t>(n));
-      payload = serialize_reads(batch_reads);
+      payload = pack_reads(batch_begin, batch_reads);
     }
-    payload = comm.bcast(0, std::move(payload));
-    const std::vector<Read> batch = deserialize_reads(payload);
+    ReadPiece piece = unpack_reads(comm.bcast(0, std::move(payload)));
+    expect_offset(piece, batch_begin, rank);
+    const std::vector<Read> batch = std::move(piece.reads);
     if (batch.empty()) break;
     const std::uint64_t batch_end = batch_begin + batch.size();
 
     std::vector<double> likelihood_sum(batch.size(), 0.0);
     std::vector<std::vector<ScoredSite>> scored(batch.size());
-    compute_turn(comm, /*serialize=*/false, clock, [&] {
+    compute_turn(clock, [&] {
       scored = mapper.score_reads(
           std::span<const Read>(batch.data(), batch.size()), ws, stats,
           seg.core_begin, seg.core_end);
@@ -1037,7 +635,7 @@ void run_genome_partition_rank_stream(Communicator& comm,
 
     comm.allreduce_sum(likelihood_sum);
 
-    compute_turn(comm, /*serialize=*/false, clock, [&] {
+    compute_turn(clock, [&] {
       for (std::size_t r = 0; r < batch.size(); ++r) {
         const double total = likelihood_sum[r];
         if (!(total > 0.0)) continue;
@@ -1057,45 +655,25 @@ void run_genome_partition_rank_stream(Communicator& comm,
 
     comm.step();
     if (ctx.fault_mode && ctx.checkpoint_interval > 0) {
-      // Same fixed grid as the vector path (multiples of batch_size), so
-      // common_progress() still names a boundary every rank snapshotted.
+      // Batch boundaries are a fixed grid (multiples of batch_size), so
+      // every rank snapshots at the same `progress` values across attempts
+      // — the invariant common_progress() relies on.
       const std::uint64_t batches_done =
           (batch_end + ctx.options.batch_size - 1) / ctx.options.batch_size;
-      if (batches_done % ctx.checkpoint_interval == 0) {
-        obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                               static_cast<double>(batch_end));
-        ctx.store.save(
-            rank,
-            Checkpoint{batch_end, accum->to_bytes(),
-                       left_halo ? left_halo->to_bytes()
-                                 : std::vector<std::uint8_t>{},
-                       right_halo ? right_halo->to_bytes()
-                                  : std::vector<std::uint8_t>{},
-                       stats, mapped_reads},
-            /*keep_history=*/true);
-      }
+      if (batches_done % ctx.checkpoint_interval == 0) snapshot(batch_end);
     }
     batch_begin = batch_end;
   }
 
-  if (ctx.fault_mode) {
-    // The vector path snapshots at batch_end == total_reads inside the
-    // loop; a stream only learns "that was the last batch" after the fact,
-    // so the final snapshot lands here.
-    obs::TraceSpan cp_span("checkpoint_save", "ckpt", "progress",
-                           static_cast<double>(batch_begin));
-    ctx.store.save(
-        rank,
-        Checkpoint{batch_begin, accum->to_bytes(),
-                   left_halo ? left_halo->to_bytes()
-                             : std::vector<std::uint8_t>{},
-                   right_halo ? right_halo->to_bytes()
-                              : std::vector<std::uint8_t>{},
-                   stats, mapped_reads},
-        /*keep_history=*/true);
-  }
+  // A stream only learns "that was the last batch" after the fact, so the
+  // final snapshot lands here.
+  if (ctx.fault_mode) snapshot(batch_begin);
 
-  // Halo exchange, segment calls, and the gather are the vector path's.
+  // Halo exchange: ship the slices that spilled past this rank's core to
+  // their owners, and fold the neighbors' spill into this core.  One
+  // message to each neighbor; merged position-by-position because the
+  // halo range is a sub-range of the receiver's core.  mpsim sends are
+  // buffered, so everyone sends first, then receives.
   constexpr int kHaloLeftTag = 101;
   constexpr int kHaloRightTag = 102;
   auto fold_halo = [&](const std::vector<std::uint8_t>& bytes,
@@ -1113,15 +691,9 @@ void run_genome_partition_rank_stream(Communicator& comm,
   };
   if (p > 1) {
     GNUMAP_TRACE_SPAN("halo_exchange", "comm");
-    if (rank > 0) {
-      comm.send(rank - 1, kHaloLeftTag,
-                left_halo ? left_halo->to_bytes()
-                          : std::vector<std::uint8_t>{});
-    }
+    if (rank > 0) comm.send(rank - 1, kHaloLeftTag, halo_bytes(left_halo));
     if (rank + 1 < p) {
-      comm.send(rank + 1, kHaloRightTag,
-                right_halo ? right_halo->to_bytes()
-                           : std::vector<std::uint8_t>{});
+      comm.send(rank + 1, kHaloRightTag, halo_bytes(right_halo));
     }
     if (rank + 1 < p) {
       const auto& next = segments[static_cast<std::size_t>(rank + 1)];
@@ -1136,7 +708,7 @@ void run_genome_partition_rank_stream(Communicator& comm,
   }
 
   std::vector<SnpCall> local_calls;
-  compute_turn(comm, /*serialize=*/false, clock, [&] {
+  compute_turn(clock, [&] {
     local_calls =
         call_snps(ctx.genome, *accum, config, seg.core_begin, seg.core_end);
   });
@@ -1168,156 +740,8 @@ void run_genome_partition_rank_stream(Communicator& comm,
 // FaultPlan, the driver loops: each attempt runs the world with a recv
 // timeout and periodic checkpoints; if the attempt aborts on a CommError
 // (injected crash, dropped message, peer death), the next attempt restores
-// from the checkpoints — restarting the failed rank, or, under
-// kReclaimReads, redistributing its unprocessed reads over the survivors.
+// from the checkpoints and replays the stream, restarting the failed rank.
 // Non-communication exceptions (real bugs) propagate immediately.
-
-DistResult run_distributed(const Genome& genome,
-                           const std::vector<Read>& reads,
-                           const PipelineConfig& config,
-                           const DistOptions& options,
-                           const HashIndex* shared_index) {
-  require(options.ranks >= 1, "run_distributed: ranks must be >= 1");
-  require(options.batch_size >= 1, "run_distributed: batch_size must be >= 1");
-  require(options.max_attempts >= 1,
-          "run_distributed: max_attempts must be >= 1");
-
-  obs::set_trace_metadata("ranks", std::to_string(options.ranks));
-  obs::set_trace_metadata("dist_mode",
-                          options.mode == DistMode::kReadPartition
-                              ? "read_partition"
-                              : "genome_partition");
-  obs::set_trace_metadata(
-      "simd_level",
-      phmm::simd_level_name(phmm::resolve_simd_level(config.simd)));
-
-  const bool fault_mode = !options.faults.empty();
-  FaultState fault_state(options.faults);
-  WorldOptions world_options;
-  world_options.faults = fault_mode ? &fault_state : nullptr;
-  world_options.recv_timeout_seconds =
-      options.recv_timeout_seconds > 0.0
-          ? options.recv_timeout_seconds
-          : (fault_mode ? 5.0 : 0.0);
-
-  std::uint64_t checkpoint_interval = options.checkpoint_interval;
-  if (fault_mode && checkpoint_interval == 0) {
-    if (options.mode == DistMode::kReadPartition) {
-      // ~4 checkpoints per shard.
-      checkpoint_interval = std::max<std::uint64_t>(
-          1, reads.size() / static_cast<std::size_t>(options.ranks) / 4);
-    } else {
-      checkpoint_interval = 1;  // every broadcast batch
-    }
-  }
-
-  const bool reclaim = options.recovery == RecoveryPolicy::kReclaimReads &&
-                       options.mode == DistMode::kReadPartition;
-  const int max_attempts = fault_mode ? options.max_attempts : 1;
-
-  CheckpointStore store(options.ranks);
-  std::set<int> lost;
-  std::vector<int> failed_ranks;
-  std::vector<std::vector<RankCost>> attempt_costs;
-  Timer wall;
-
-  for (int attempt = 0;; ++attempt) {
-    DistResult result;
-    result.costs.resize(static_cast<std::size_t>(options.ranks));
-    std::mutex result_mutex;
-
-    // Reclaimed shard ranges for this attempt: each lost rank's reads past
-    // its last checkpoint, split contiguously over the survivors.
-    ExtraRanges extra(static_cast<std::size_t>(options.ranks));
-    if (reclaim && !lost.empty()) {
-      std::vector<int> survivors;
-      for (int r = 0; r < options.ranks; ++r) {
-        if (lost.count(r) == 0) survivors.push_back(r);
-      }
-      require(!survivors.empty(),
-              "run_distributed: every rank failed; nothing left to reclaim");
-      for (const int f : lost) {
-        const auto [f_begin, f_end] = shard_of(reads.size(), f, options.ranks);
-        const std::size_t todo_begin = f_begin + store.latest_progress(f);
-        const std::size_t n = f_end > todo_begin ? f_end - todo_begin : 0;
-        const std::size_t m = survivors.size();
-        for (std::size_t k = 0; k < m; ++k) {
-          const std::size_t piece_begin = todo_begin + n * k / m;
-          const std::size_t piece_end = todo_begin + n * (k + 1) / m;
-          if (piece_begin < piece_end) {
-            extra[static_cast<std::size_t>(survivors[k])].emplace_back(
-                piece_begin, piece_end);
-          }
-        }
-      }
-    }
-
-    AttemptContext ctx{genome,
-                       reads,
-                       config,
-                       options,
-                       shared_index,
-                       store,
-                       fault_mode,
-                       checkpoint_interval,
-                       lost,
-                       extra,
-                       /*resume_reads=*/
-                       (fault_mode && options.mode == DistMode::kGenomePartition)
-                           ? store.common_progress()
-                           : 0,
-                       result,
-                       result_mutex};
-
-    obs::TraceSpan attempt_span("attempt", "dist", "attempt",
-                                static_cast<double>(attempt));
-    const WorldRun run = run_world_collect(
-        options.ranks, world_options, [&](Communicator& comm) {
-          if (options.mode == DistMode::kReadPartition) {
-            run_read_partition_rank(comm, ctx);
-          } else {
-            run_genome_partition_rank(comm, ctx);
-          }
-        });
-
-    std::vector<RankCost> costs(static_cast<std::size_t>(options.ranks));
-    for (int r = 0; r < options.ranks; ++r) {
-      costs[static_cast<std::size_t>(r)].compute_seconds =
-          run.compute_seconds[static_cast<std::size_t>(r)];
-      costs[static_cast<std::size_t>(r)].comm =
-          run.stats[static_cast<std::size_t>(r)];
-    }
-    attempt_costs.push_back(std::move(costs));
-
-    if (!run.error) {
-      result.costs = attempt_costs.back();
-      result.recovery.attempts = attempt + 1;
-      result.recovery.failed_ranks = failed_ranks;
-      const RecoveryCost rc = recovery_cost(attempt_costs, CostModelParams{});
-      result.recovery.resent_messages = rc.resent_messages;
-      result.recovery.resent_bytes = rc.resent_bytes;
-      result.recovery.redone_compute_seconds = rc.redone_compute_seconds;
-      result.attempt_costs = std::move(attempt_costs);
-      result.wall_seconds = wall.seconds();
-      publish_dist_result(result);
-      return result;
-    }
-
-    obs::record_instant("attempt_failed", "dist", "failed_rank",
-                        static_cast<double>(run.failed_rank));
-    failed_ranks.push_back(run.failed_rank);
-    try {
-      std::rethrow_exception(run.error);
-    } catch (const CommError&) {
-      // Retryable: injected crash, dropped-message timeout, or the
-      // cascade of RankFailedErrors a dying peer causes.
-      if (attempt + 1 >= max_attempts) throw;
-    }
-    // Anything that is not a CommError escaped the catch above and has
-    // already propagated: real bugs are not retried.
-    if (reclaim && run.failed_rank >= 0) lost.insert(run.failed_rank);
-  }
-}
 
 DistResult run_distributed(const Genome& genome, ReadStream& reads,
                            const PipelineConfig& config,
@@ -1467,12 +891,29 @@ DistResult run_distributed(const Genome& genome, ReadStream& reads,
     try {
       std::rethrow_exception(run.error);
     } catch (const CommError&) {
-      // kReclaimReads has no streaming equivalent (a shard cannot be
-      // redistributed after delivery), so every retryable failure takes
-      // the kRestartRank path here.
+      // Retryable: injected crash, dropped-message timeout, or the
+      // cascade of RankFailedErrors a dying peer causes.
       if (attempt + 1 >= max_attempts) throw;
     }
+    // Anything that is not a CommError escaped the catch above and has
+    // already propagated: real bugs are not retried.
   }
+}
+
+DistResult run_distributed(const Genome& genome,
+                           const std::vector<Read>& reads,
+                           const PipelineConfig& config,
+                           const DistOptions& options,
+                           const HashIndex* shared_index) {
+  DistOptions measured = options;
+  if (measured.max_read_len == 0) {
+    for (const auto& read : reads) {
+      measured.max_read_len = std::max(
+          measured.max_read_len, static_cast<std::uint32_t>(read.length()));
+    }
+  }
+  VectorReadStream stream(reads, config.stream_batch);
+  return run_distributed(genome, stream, config, measured, shared_index);
 }
 
 }  // namespace gnumap

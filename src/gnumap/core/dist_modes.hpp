@@ -16,10 +16,11 @@
 //    describes.  Each rank then calls SNPs on its own segment and the calls
 //    are gathered at rank 0.
 //
-// Because the host is one physical core, per-rank compute is measured with
-// ranks' compute phases serialized (barrier-separated turns); communication
-// volumes are exact.  The cost model turns (compute, comm) into simulated
-// cluster wall-clock for the Figure 4/5 reproductions.
+// Per-rank compute is each rank thread's CPU time (CLOCK_THREAD_CPUTIME_ID),
+// which time spent waiting for a core does not advance, so ranks may
+// outnumber the host's cores; communication volumes are exact.  The cost
+// model turns (compute, comm) into simulated cluster wall-clock for the
+// Figure 4/5 reproductions.
 #pragma once
 
 #include <cstdint>
@@ -36,19 +37,6 @@
 namespace gnumap {
 
 enum class DistMode { kReadPartition, kGenomePartition };
-
-/// How run_distributed recovers when a rank dies mid-run (fault injection).
-enum class RecoveryPolicy {
-  /// Restart the failed rank from its last checkpoint (both modes); the
-  /// survivors also rewind to their checkpoints and the attempt replays.
-  kRestartRank,
-  /// Read-partition only: the failed rank's recovered checkpoint is merged
-  /// as-is and its *unprocessed* reads are redistributed across the
-  /// surviving ranks (graceful degradation).  Falls back to kRestartRank in
-  /// genome-partition mode, where a segment cannot be reclaimed without
-  /// re-indexing.
-  kReclaimReads,
-};
 
 /// What recovering from injected faults cost, summarized per run.
 struct RecoverySummary {
@@ -86,8 +74,6 @@ struct DistResult {
 struct DistOptions {
   int ranks = 4;
   DistMode mode = DistMode::kReadPartition;
-  /// Serialize rank compute phases for clean per-rank timing (see above).
-  bool serialize_compute = true;
   /// Batch size for the genome-partition score-normalization allreduce.
   std::uint32_t batch_size = 512;
 
@@ -104,11 +90,11 @@ struct DistOptions {
   /// N broadcast batches (genome-partition); 0 picks a default.
   std::uint64_t checkpoint_interval = 0;
   /// World executions allowed before the fault is considered permanent and
-  /// the first failure is rethrown.
+  /// the first failure is rethrown.  Each retry restarts the failed rank
+  /// from its last checkpoint; the survivors rewind to theirs and the
+  /// attempt replays.
   int max_attempts = 5;
-  RecoveryPolicy recovery = RecoveryPolicy::kRestartRank;
 
-  // --- Streaming overload only -----------------------------------------
   /// Genome-partition mode sizes its overlap margin from the longest read.
   /// The vector overload measures this directly; the streaming overload
   /// needs either this hint or a resettable stream it can prescan.  0 =
@@ -116,39 +102,38 @@ struct DistOptions {
   std::uint32_t max_read_len = 0;
 };
 
-/// Runs the pipeline distributed.  `shared_index` may be passed for
-/// read-partition mode to avoid rebuilding one identical index per rank on
-/// this single-core host (a real cluster would build it once per machine);
-/// pass nullptr to have each rank build its own (timed as compute).
-/// In genome-partition mode each rank always builds its segment index.
-DistResult run_distributed(const Genome& genome,
-                           const std::vector<Read>& reads,
+/// Runs the pipeline distributed.  Reads are pulled from `reads` batch by
+/// batch instead of being materialized up front, so no rank ever holds the
+/// whole read set.
+///
+///  * kReadPartition: rank 0 decodes the stream and deals it round-robin,
+///    *shipping* each slice to its owning rank (counted as communication),
+///    throttled by a per-rank ack window of config.queue_depth slices so
+///    in-flight read memory stays O(queue_depth x batch) per rank.  A sized
+///    stream (size_hint) is cut into equal slices so every rank maps the
+///    same number of reads; an unsized one is dealt by whole batches.
+///  * kGenomePartition: rank 0 re-batches the stream into
+///    options.batch_size broadcast payloads (the margin comes from
+///    options.max_read_len or a prescan).
+///
+/// `shared_index` may be passed for read-partition mode to avoid
+/// rebuilding one identical index per rank on one host (a real cluster
+/// would build it once per machine); pass nullptr to have each rank build
+/// its own (timed as compute).  In genome-partition mode each rank always
+/// builds its segment index.
+///
+/// Checkpoints record the stream cursor (reads completed); recovery resets
+/// the stream and replays, so fault tolerance requires ReadStream::reset()
+/// support.  The stream must be positioned at its start.
+DistResult run_distributed(const Genome& genome, ReadStream& reads,
                            const PipelineConfig& config,
                            const DistOptions& options,
                            const HashIndex* shared_index = nullptr);
 
-/// Streaming form: reads are pulled from `reads` batch by batch instead of
-/// being materialized up front, so no rank ever holds the whole read set.
-///
-///  * kReadPartition: rank 0 decodes the stream and *ships* batches to
-///    their owning ranks (counted as communication), throttled by a
-///    per-rank ack window of config.queue_depth batches so in-flight read
-///    memory stays O(queue_depth x batch) per rank.  When the stream knows
-///    its size (size_hint), batches follow the vector path's contiguous
-///    1/p shards and the SNP calls are byte-identical to it; unsized
-///    streams are dealt round-robin by batch.
-///  * kGenomePartition: rank 0 re-batches the stream into
-///    options.batch_size broadcast payloads — the same batches the vector
-///    path builds, so calls are byte-identical to it (the margin comes
-///    from options.max_read_len or a prescan).
-///
-/// Checkpoints record the stream cursor (reads completed); recovery resets
-/// the stream and replays, so fault tolerance requires ReadStream::reset()
-/// support.  RecoveryPolicy::kReclaimReads falls back to kRestartRank, and
-/// serialize_compute is ignored (stages overlap by design — per-rank
-/// compute times are still measured, just not barrier-separated).
-/// The stream must be positioned at its start.
-DistResult run_distributed(const Genome& genome, ReadStream& reads,
+/// In-memory form: wraps `reads` in a VectorReadStream of
+/// config.stream_batch reads and measures max_read_len when unset.
+DistResult run_distributed(const Genome& genome,
+                           const std::vector<Read>& reads,
                            const PipelineConfig& config,
                            const DistOptions& options,
                            const HashIndex* shared_index = nullptr);

@@ -89,8 +89,7 @@ void publish_pipeline_result(const PipelineResult& result) {
             result.format_seconds);
   set_gauge("gnumap_output_splice_seconds",
             "Ordered-drain splice time (byte writes + replaying "
-            "accumulator adds); with format_in_drain this is the whole "
-            "former drain",
+            "accumulator adds)",
             result.splice_seconds);
   obs::registry()
       .counter("gnumap_output_bytes_total",

@@ -58,9 +58,8 @@ struct PipelineResult {
   /// output rendering (SAM bytes + accumulator-delta scaling), summed
   /// across workers like map_stage_seconds; splice_seconds is what is left
   /// on the single ordered drain (byte splicing + replaying accumulator
-  /// adds).  With config.format_in_drain both land in splice_seconds, which
-  /// is then the former drain_seconds.  drain_seconds() is kept as the sum
-  /// for wire/digest compatibility.  Pure observers: timing adds no
+  /// adds).  drain_seconds() is kept as the sum for wire/digest
+  /// compatibility.  Pure observers: timing adds no
   /// synchronization to the staged pipeline beyond one addition per batch
   /// per stage.
   double decode_seconds = 0.0;

@@ -118,30 +118,16 @@ void ReadMapper::finalize_sites(const Read& read,
   finalize_scored_sites(config_, read, sites, stats);
 }
 
-std::vector<ScoredSite> ReadMapper::score_read(const Read& read,
-                                               MapperWorkspace& ws,
-                                               MapStats& stats,
-                                               GenomePos diagonal_begin,
-                                               GenomePos diagonal_end) const {
-  ReadPwms pwms;
-  const auto candidates =
-      gather_candidates(read, pwms, stats, diagonal_begin, diagonal_end);
-
-  std::vector<ScoredSite> sites;
-  for (const CandidateWindow& cw : candidates) {
-    if (!hmm_.align(*cw.pwm, cw.window, ws.mats)) continue;
-    stats.dp_cells += (read.length() + 1) * (cw.window.size() + 1);
-
-    ScoredSite site;
-    site.window_begin = cw.window_begin;
-    site.log_likelihood = ws.mats.log_likelihood;
-    site.reverse = cw.reverse;
-    site.contributions = condense_marginals(hmm_, *cw.pwm, ws.mats,
-                                            config_.marginal);
-    sites.push_back(std::move(site));
-  }
-  finalize_sites(read, sites, stats);
-  return sites;
+std::optional<ScoredSite> ReadMapper::score_candidate(
+    const CandidateWindow& cw, AlignmentMatrices& mats) const {
+  if (!hmm_.align(*cw.pwm, cw.window, mats)) return std::nullopt;
+  ScoredSite site;
+  site.window_begin = cw.window_begin;
+  site.log_likelihood = mats.log_likelihood;
+  site.reverse = cw.reverse;
+  site.contributions =
+      condense_marginals(hmm_, *cw.pwm, mats, config_.marginal);
+  return site;
 }
 
 std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
@@ -237,14 +223,9 @@ std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
       recomputed.inc();
       scored[r].clear();
       for (const CandidateWindow& cw : candidates[r]) {
-        if (!hmm_.align(*cw.pwm, cw.window, ws.mats)) continue;
-        ScoredSite site;
-        site.window_begin = cw.window_begin;
-        site.log_likelihood = ws.mats.log_likelihood;
-        site.reverse = cw.reverse;
-        site.contributions =
-            condense_marginals(hmm_, *cw.pwm, ws.mats, config_.marginal);
-        scored[r].push_back(std::move(site));
+        if (auto site = score_candidate(cw, ws.mats)) {
+          scored[r].push_back(std::move(*site));
+        }
       }
     }
   }
@@ -272,14 +253,10 @@ std::vector<std::vector<RawCandidate>> ReadMapper::score_reads_raw(
       raw.reverse = cw.reverse;
       raw.filtered = cw.skip;
       if (!cw.skip) {
-        raw.ok = hmm_.align(*cw.pwm, cw.window, ws.mats);
-        if (raw.ok) {
+        if (auto site = score_candidate(cw, ws.mats)) {
           stats.dp_cells += (reads[r].length() + 1) * (cw.window.size() + 1);
-          raw.site.window_begin = cw.window_begin;
-          raw.site.log_likelihood = ws.mats.log_likelihood;
-          raw.site.reverse = cw.reverse;
-          raw.site.contributions =
-              condense_marginals(hmm_, *cw.pwm, ws.mats, config_.marginal);
+          raw.ok = true;
+          raw.site = std::move(*site);
         }
       }
       out[r].push_back(std::move(raw));
@@ -356,27 +333,6 @@ void ReadMapper::flatten_contributions(const std::vector<ScoredSite>& sites,
       out.push_back(io::AccumDelta{pos, delta});
     });
   }
-}
-
-bool ReadMapper::map_read(const Read& read, Accumulator& accum,
-                          MapperWorkspace& ws, MapStats& stats) const {
-  const auto sites = score_read(read, ws, stats);
-  if (sites.empty()) return false;
-  accumulate(sites, accum);
-  return true;
-}
-
-std::size_t ReadMapper::map_reads(std::span<const Read> reads,
-                                  Accumulator& accum, MapperWorkspace& ws,
-                                  MapStats& stats) const {
-  const auto scored = score_reads(reads, ws, stats);
-  std::size_t mapped = 0;
-  for (const auto& sites : scored) {
-    if (sites.empty()) continue;
-    accumulate(sites, accum);
-    ++mapped;
-  }
-  return mapped;
 }
 
 }  // namespace gnumap

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -26,13 +27,13 @@
 
 namespace gnumap {
 
-/// Scratch state reused across map_read / score_reads calls; one per worker
+/// Working buffers reused across scoring calls; one per worker
 /// thread (neither member is thread-safe).  Both members retain capacity
 /// across calls, so a long-lived workspace stops allocating once it has seen
 /// the largest read/window shape.
 struct MapperWorkspace {
-  AlignmentMatrices mats;       ///< scalar path (score_read / map_read)
-  phmm::BatchedForward batch;   ///< batched path (score_reads / map_reads)
+  AlignmentMatrices mats;       ///< scalar oracle (score_reads_raw, fp32 guard)
+  phmm::BatchedForward batch;   ///< batched path (score_reads)
 };
 
 /// One scored candidate site with its condensed contributions.
@@ -74,21 +75,17 @@ class ReadMapper {
   ReadMapper(const Genome& genome, const HashIndex& index,
              const PipelineConfig& config);
 
-  /// Scores every candidate site of `read`.  Sites are pruned to those with
-  /// posterior weight >= config.min_site_posterior; weights sum to 1 over
-  /// the returned set.  Empty result = unmapped read.
-  /// When `diagonal_begin`/`diagonal_end` are set (genome-partition mode),
-  /// only candidates whose diagonal falls in [begin, end) are considered.
-  std::vector<ScoredSite> score_read(const Read& read, MapperWorkspace& ws,
-                                     MapStats& stats,
-                                     GenomePos diagonal_begin = 0,
-                                     GenomePos diagonal_end = 0) const;
-
-  /// Batched twin of score_read: scores `reads` together so every candidate
-  /// alignment of the chunk runs through the SIMD Pair-HMM engine in one
-  /// sweep (inter-task parallelism; see phmm::BatchedForward).  Returns one
-  /// site vector per read, in input order.  Results are bit-identical to
-  /// calling score_read on each read in sequence — candidate enumeration,
+  /// Scores every candidate site of each read in `reads` (the one mapping
+  /// path).  All candidate alignments of the chunk run through the SIMD
+  /// Pair-HMM engine in one sweep (inter-task parallelism; see
+  /// phmm::BatchedForward).  Returns one site vector per read, in input
+  /// order.  Sites are pruned to those with posterior weight >=
+  /// config.min_site_posterior; weights sum to 1 over the returned set.
+  /// Empty vector = unmapped read.  When `diagonal_begin`/`diagonal_end`
+  /// are set (genome-partition mode), only candidates whose diagonal falls
+  /// in [begin, end) are considered.
+  /// Results are bit-identical to the scalar double oracle
+  /// (score_reads_raw + finalize_scored_sites) — candidate enumeration,
   /// kernel arithmetic, and the posterior softmax all happen in the same
   /// order — and kernel time is recorded in stats.phmm_{forward,backward}_
   /// seconds.  The dispatch level comes from PipelineConfig::simd.
@@ -128,15 +125,6 @@ class ReadMapper {
   static void flatten_contributions(const std::vector<ScoredSite>& sites,
                                     std::vector<io::AccumDelta>& out);
 
-  /// Convenience: score + accumulate; returns true if the read mapped.
-  bool map_read(const Read& read, Accumulator& accum, MapperWorkspace& ws,
-                MapStats& stats) const;
-
-  /// Batched convenience: score_reads + accumulate.  Returns the number of
-  /// reads that mapped.
-  std::size_t map_reads(std::span<const Read> reads, Accumulator& accum,
-                        MapperWorkspace& ws, MapStats& stats) const;
-
   const Seeder& seeder() const { return seeder_; }
 
   /// Concrete SIMD level the batched path executes at (never kAuto).
@@ -144,7 +132,7 @@ class ReadMapper {
 
   /// Concrete lane precision the batched path executes at (never kAuto).
   /// kSingle engages the fp32 kernels plus the recompute guard below; the
-  /// scalar score_read path always runs double.
+  /// scalar oracle (score_reads_raw) always runs double.
   phmm::Precision phmm_precision() const { return precision_; }
 
  private:
@@ -179,6 +167,13 @@ class ReadMapper {
       const Read& read, ReadPwms& pwms, MapStats& stats,
       GenomePos diagonal_begin, GenomePos diagonal_end,
       bool keep_filtered = false) const;
+
+  /// The scalar double oracle for one staged candidate: align, then
+  /// condense the marginals into a ScoredSite (weight unset).  nullopt when
+  /// no alignment path has nonzero probability.  Shared by score_reads_raw
+  /// and the fp32 recompute guard.
+  std::optional<ScoredSite> score_candidate(const CandidateWindow& cw,
+                                            AlignmentMatrices& mats) const;
 
   /// Member shim over finalize_scored_sites (the free function above).
   void finalize_sites(const Read& read, std::vector<ScoredSite>& sites,

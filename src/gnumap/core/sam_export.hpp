@@ -15,7 +15,7 @@
 namespace gnumap {
 
 /// Builds SAM records for one read.  `sites` comes from
-/// ReadMapper::score_read; an empty vector yields a single unmapped record.
+/// ReadMapper::score_reads; an empty vector yields a single unmapped record.
 std::vector<SamRecord> to_sam_records(const Genome& genome, const Read& read,
                                       const std::vector<ScoredSite>& sites,
                                       const PipelineConfig& config);

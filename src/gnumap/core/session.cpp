@@ -31,20 +31,14 @@ struct DecodedBatch {
 };
 
 /// One batch a worker finished, parked until the drain reaches its seq.
-/// On the default worker-format path the worker has already rendered the
-/// batch into `chunk` and dropped the reads; with config.format_in_drain
-/// (the legacy A/B baseline) `batch` + `scored` travel to the drain
-/// unrendered and `chunk` stays empty.
+/// The worker has already rendered the batch into `chunk` and dropped the
+/// reads and scored sites.
 struct WorkedBatch {
   std::uint64_t reads = 0;  ///< batch size, for in-flight accounting
   MapStats stats;
   io::OutputChunk chunk;
-  ReadBatch batch;                              ///< legacy mode only
-  std::vector<std::vector<ScoredSite>> scored;  ///< legacy mode only
 
-  /// Byte weight for the splicer's output-buffer budget.  Legacy batches
-  /// weigh nothing — their memory is bounded by the count window alone,
-  /// exactly as before the refactor.
+  /// Byte weight for the splicer's output-buffer budget.
   std::uint64_t bytes() const { return chunk.bytes(); }
 };
 
@@ -107,39 +101,11 @@ void splice_chunk(DrainSink& sink, WorkedBatch&& item) {
   sink.result.splice_seconds += stage.seconds();
 }
 
-/// Legacy drain (config.format_in_drain): accumulate and format each read
-/// inside the ordered consumer, exactly the pre-refactor behaviour.  Kept
-/// as the A/B baseline for the drain-scaling bench; output is byte-identical
-/// to the splice path.
-void drain_batch_legacy(DrainSink& sink, WorkedBatch&& mapped) {
-  GNUMAP_TRACE_SPAN("drain_batch", "stream");
-  Timer stage;
-  std::string rendered;
-  for (std::size_t r = 0; r < mapped.batch.reads.size(); ++r) {
-    ReadMapper::accumulate(mapped.scored[r], sink.accum);
-    if (sink.sam_out != nullptr) {
-      rendered.clear();
-      for (const auto& record :
-           to_sam_records(sink.genome, mapped.batch.reads[r],
-                          mapped.scored[r], sink.config)) {
-        append_sam_record(rendered, sink.genome, record);
-      }
-      sink.sam_out->write(rendered.data(),
-                          static_cast<std::streamsize>(rendered.size()));
-      sink.result.output_bytes += rendered.size();
-    }
-  }
-  sink.result.stats += mapped.stats;
-  ++sink.result.batches_decoded;
-  sink.result.splice_seconds += stage.seconds();
-}
-
 /// Serial in-line path: decode -> score -> render -> splice on the calling
 /// thread.  One batch is resident at a time, so the memory bound holds
 /// trivially, and going through the same render/splice pair as the staged
 /// path is what makes threaded output byte-identical by construction.
 void map_serial(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink) {
-  const bool worker_format = !sink.config.format_in_drain;
   const bool want_sam = sink.sam_out != nullptr;
   MapperWorkspace ws;
   ReadBatch batch;
@@ -154,22 +120,16 @@ void map_serial(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink) {
                                 batch.size());
     WorkedBatch item;
     item.reads = batch.size();
-    item.batch = std::move(batch);
     stage.reset();
-    item.scored = mapper.score_reads(
-        std::span<const Read>(item.batch.reads.data(),
-                              item.batch.reads.size()),
-        ws, item.stats);
+    const auto scored = mapper.score_reads(
+        std::span<const Read>(batch.reads.data(), batch.reads.size()), ws,
+        item.stats);
     sink.result.map_stage_seconds += stage.seconds();
-    if (worker_format) {
-      stage.reset();
-      render_chunk(sink.genome, sink.config, item.batch, item.scored,
-                   want_sam, item.chunk);
-      sink.result.format_seconds += stage.seconds();
-      splice_chunk(sink, std::move(item));
-    } else {
-      drain_batch_legacy(sink, std::move(item));
-    }
+    stage.reset();
+    render_chunk(sink.genome, sink.config, batch, scored, want_sam,
+                 item.chunk);
+    sink.result.format_seconds += stage.seconds();
+    splice_chunk(sink, std::move(item));
   }
 }
 
@@ -178,7 +138,6 @@ void map_serial(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink) {
 void map_staged(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink,
                 int threads) {
   const PipelineConfig& config = sink.config;
-  const bool worker_format = !config.format_in_drain;
   const bool want_sam = sink.sam_out != nullptr;
   const std::size_t queue_depth = std::max<std::size_t>(1, config.queue_depth);
   BatchQueue<DecodedBatch> queue(queue_depth);
@@ -186,11 +145,10 @@ void map_staged(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink,
   // in-flight slot; queue_depth + threads admits them all (the drain's next
   // batch is always admitted, so the window cannot deadlock).  The splicer
   // additionally caps the rendered bytes parked in the window — a worker
-  // whose chunk does not fit blocks until the drain catches up (legacy
-  // batches weigh 0, so format_in_drain keeps the pre-refactor window).
+  // whose chunk does not fit blocks until the drain catches up.
   io::ChunkSplicer<WorkedBatch> splicer(
       queue_depth + static_cast<std::size_t>(threads),
-      worker_format ? output_buffer_budget(config, threads) : 0);
+      output_buffer_budget(config, threads));
 
   auto& bytes_decoded = obs::registry().counter(
       "gnumap_stream_bytes_decoded_total",
@@ -272,28 +230,27 @@ void map_staged(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink,
           batch_wait.observe(wait.seconds());
           if (!decoded) break;
           GNUMAP_TRACE_SPAN("map_batch", "stream");
+          const std::uint64_t seq = decoded->seq;
           WorkedBatch worked;
-          worked.reads = decoded->batch.size();
-          worked.batch = std::move(decoded->batch);
-          Timer stage;
-          worked.scored = mapper.score_reads(
-              std::span<const Read>(worked.batch.reads.data(),
-                                    worked.batch.reads.size()),
-              ws, worked.stats);
-          scored_seconds += stage.seconds();
-          if (worker_format) {
+          {
+            const ReadBatch& batch = decoded->batch;
+            worked.reads = batch.size();
+            Timer stage;
+            const auto scored = mapper.score_reads(
+                std::span<const Read>(batch.reads.data(), batch.reads.size()),
+                ws, worked.stats);
+            scored_seconds += stage.seconds();
             GNUMAP_TRACE_SPAN("render_chunk", "stream");
             stage.reset();
-            render_chunk(sink.genome, config, worked.batch, worked.scored,
-                         want_sam, worked.chunk);
+            render_chunk(sink.genome, config, batch, scored, want_sam,
+                         worked.chunk);
             rendered_seconds += stage.seconds();
-            // Rendered: the decoded reads and scored sites are dead weight
-            // now — drop them here instead of shipping them to the drain.
-            worked.batch = ReadBatch{};
-            worked.scored.clear();
-            worked.scored.shrink_to_fit();
           }
-          if (!splicer.push(decoded->seq, std::move(worked))) break;
+          // Only the rendered chunk travels to the drain: the scored sites
+          // died with the block above, and the decoded reads go before a
+          // push that may block on the splicer's byte budget.
+          decoded.reset();
+          if (!splicer.push(seq, std::move(worked))) break;
         }
       } catch (...) {
         capture_error();
@@ -311,11 +268,7 @@ void map_staged(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink,
 
   while (auto worked = splicer.pop_next()) {
     in_flight.fetch_sub(worked->reads, std::memory_order_relaxed);
-    if (worker_format) {
-      splice_chunk(sink, std::move(*worked));
-    } else {
-      drain_batch_legacy(sink, std::move(*worked));
-    }
+    splice_chunk(sink, std::move(*worked));
   }
 
   decoder.join();

@@ -2,7 +2,9 @@
 
 #include <cstring>
 
+#include "gnumap/io/read_codec.hpp"
 #include "gnumap/serve/wire.hpp"
+#include "gnumap/util/error.hpp"
 
 namespace gnumap::fleet {
 
@@ -59,52 +61,19 @@ void expect(std::string_view payload, std::size_t offset, std::size_t need,
 }  // namespace
 
 std::string serialize_reads(std::span<const Read> reads) {
-  std::string out;
-  put_u32(out, static_cast<std::uint32_t>(reads.size()));
-  for (const Read& read : reads) {
-    if (read.name.size() > 0xFFFF) {
-      throw WireError(WireErrorCode::kBadFrame,
-                      "read name exceeds 65535 bytes");
-    }
-    put_u16(out, static_cast<std::uint16_t>(read.name.size()));
-    out.append(read.name);
-    put_u32(out, static_cast<std::uint32_t>(read.bases.size()));
-    out.append(reinterpret_cast<const char*>(read.bases.data()),
-               read.bases.size());
-    out.append(reinterpret_cast<const char*>(read.quals.data()),
-               read.quals.size());
+  try {
+    return io::encode_reads(reads);
+  } catch (const ParseError& e) {
+    throw WireError(WireErrorCode::kBadFrame, e.what());
   }
-  return out;
 }
 
 std::vector<Read> deserialize_reads(std::string_view payload) {
-  std::size_t off = 0;
-  const std::uint32_t count = get_u32(payload, off);
-  off += 4;
-  std::vector<Read> reads;
-  reads.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    Read read;
-    const std::uint16_t name_len = get_u16(payload, off);
-    off += 2;
-    expect(payload, off, name_len, "read name");
-    read.name.assign(payload.substr(off, name_len));
-    off += name_len;
-    const std::uint32_t len = get_u32(payload, off);
-    off += 4;
-    expect(payload, off, 2 * static_cast<std::size_t>(len), "read bases");
-    const auto* bytes =
-        reinterpret_cast<const std::uint8_t*>(payload.data()) + off;
-    read.bases.assign(bytes, bytes + len);
-    read.quals.assign(bytes + len, bytes + 2 * static_cast<std::size_t>(len));
-    off += 2 * static_cast<std::size_t>(len);
-    reads.push_back(std::move(read));
+  try {
+    return io::decode_reads(payload);
+  } catch (const ParseError& e) {
+    throw WireError(WireErrorCode::kBadFrame, e.what());
   }
-  if (off != payload.size()) {
-    throw WireError(WireErrorCode::kBadFrame,
-                    "fleet read batch has trailing bytes");
-  }
-  return reads;
 }
 
 std::string serialize_partials(

@@ -23,12 +23,12 @@
 
 namespace gnumap::fleet {
 
-/// SHARD_READS payload: u32 read count, then per read u16 name length +
-/// name + u32 base count + coded bases + Phred qualities.
+/// SHARD_READS payload: the io::encode_reads codec (io/read_codec.hpp),
+/// with its errors typed for the wire as WireError(kBadFrame).
 std::string serialize_reads(std::span<const Read> reads);
 
-/// Inverse of serialize_reads; throws WireError(kBadFrame) on any
-/// malformed payload (short buffer, trailing bytes).
+/// io::decode_reads; throws WireError(kBadFrame) on any malformed payload
+/// (short buffer, trailing bytes).
 std::vector<Read> deserialize_reads(std::string_view payload);
 
 /// RESULT_PARTIAL payload: u32 read count, then per read u16 candidate

@@ -1,13 +1,15 @@
 // In-process message-passing runtime: the cluster substrate.
 //
-// The paper runs GNUMAP over MPI on up to 30 machines.  This host has no
-// MPI and one core, so ranks are threads with mailbox queues and the MPI
+// The paper runs GNUMAP over MPI on up to 30 machines.  There is no MPI
+// here, so ranks are threads with mailbox queues and the MPI
 // subset GNUMAP needs is implemented on top: point-to-point send/recv,
 // barrier, broadcast, reduce, allreduce, gather — the collectives using
 // binomial trees like a real MPI implementation, so the *message pattern*
 // (who talks to whom, how many bytes) matches what a cluster would see.
 // Every byte is counted per rank; the cost model (cost_model.hpp) turns the
 // counts plus measured compute time into simulated cluster wall-clock.
+// Compute time is each rank thread's CPU time, so a 30-rank world on a
+// few cores does not count time a rank spent waiting for a core.
 //
 // Programming model is SPMD exactly as in MPI: every rank runs the same
 // function and must call collectives in the same order.  Collective calls
@@ -109,10 +111,14 @@ class Communicator {
   const CommStats& stats() const { return stats_; }
 
   /// Compute-time attribution for the cost model; the application brackets
-  /// its compute phases with start()/stop().
+  /// its compute phases with start()/stop().  The clock counts this rank
+  /// thread's CPU time (CLOCK_THREAD_CPUTIME_ID), so time spent waiting for
+  /// a core is excluded even when ranks outnumber the host's cores; only
+  /// the rank's own thread may start, stop, or sample it.
   Stopwatch& compute_clock() { return compute_clock_; }
   /// Accumulated compute seconds scaled by any injected slowdown.  Safe to
-  /// sample mid-turn: an interval still open on the clock is included.
+  /// sample mid-turn (on the rank's thread): an interval still open on the
+  /// clock is included.
   double scaled_compute_seconds() const;
 
  private:

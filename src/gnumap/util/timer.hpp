@@ -1,7 +1,8 @@
-// Monotonic wall-clock timing.
+// Monotonic wall-clock timing and per-thread CPU-time accounting.
 #pragma once
 
 #include <chrono>
+#include <ctime>
 
 namespace gnumap {
 
@@ -24,15 +25,19 @@ class Timer {
   Clock::time_point start_;
 };
 
-/// Accumulating timer: sums disjoint timed intervals.  Used by the mpsim cost
-/// model to attribute compute time to individual ranks.
+/// Accumulating CPU-time timer: sums disjoint intervals of the calling
+/// thread's CPU time (CLOCK_THREAD_CPUTIME_ID).  Time spent blocked,
+/// sleeping, or descheduled does not count, so readings stay per-thread
+/// even with more threads than cores.  Start, stop, and sample it on one
+/// thread.  Used by the mpsim cost model to attribute compute time to
+/// individual ranks.
 class Stopwatch {
  public:
-  void start() { timer_.reset(); running_ = true; }
+  void start() { started_ = thread_cpu_seconds(); running_ = true; }
 
   void stop() {
     if (running_) {
-      total_ += timer_.seconds();
+      total_ += thread_cpu_seconds() - started_;
       running_ = false;
     }
   }
@@ -47,7 +52,9 @@ class Stopwatch {
   double total_seconds() const { return total_; }
 
   /// Seconds of the currently open interval (0 when stopped).
-  double running_seconds() const { return running_ ? timer_.seconds() : 0.0; }
+  double running_seconds() const {
+    return running_ ? thread_cpu_seconds() - started_ : 0.0;
+  }
 
   /// Closed intervals plus any open one: safe to sample at any time.
   double elapsed_including_running() const {
@@ -58,7 +65,14 @@ class Stopwatch {
   void reset() { total_ = 0.0; running_ = false; }
 
  private:
-  Timer timer_;
+  static double thread_cpu_seconds() {
+    timespec ts{};
+    ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+  }
+
+  double started_ = 0.0;
   double total_ = 0.0;
   bool running_ = false;
 };

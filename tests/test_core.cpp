@@ -54,7 +54,7 @@ TEST(ReadMapper, MapsSimulatedReadToOrigin) {
   MapStats stats;
   int correct = 0, mapped = 0;
   for (const auto& sim : sims) {
-    const auto sites = mapper.score_read(sim.read, ws, stats);
+    const auto sites = mapper.score_reads({&sim.read, 1}, ws, stats).front();
     if (sites.empty()) continue;
     ++mapped;
     // Strongest site should cover the true origin.
@@ -89,7 +89,7 @@ TEST(ReadMapper, RandomReadDoesNotMap) {
       read.bases.push_back(static_cast<std::uint8_t>(rng.next_below(4)));
     }
     read.quals.assign(62, 40);
-    if (!mapper.score_read(read, ws, stats).empty()) ++mapped;
+    if (!mapper.score_reads({&read, 1}, ws, stats).front().empty()) ++mapped;
   }
   // Random 62-mers occasionally share a seed but must not pass the
   // log-likelihood cutoff.
@@ -116,7 +116,7 @@ TEST(ReadMapper, SiteWeightsSumToOne) {
   read.quals.assign(62, 40);
   MapperWorkspace ws;
   MapStats stats;
-  const auto sites = mapper.score_read(read, ws, stats);
+  const auto sites = mapper.score_reads({&read, 1}, ws, stats).front();
   ASSERT_GE(sites.size(), 3u);
   double total = 0.0;
   for (const auto& site : sites) total += site.weight;

@@ -66,7 +66,6 @@ TEST_P(ReadPartitionRanks, MatchesSerialCalls) {
   DistOptions options;
   options.ranks = GetParam();
   options.mode = DistMode::kReadPartition;
-  options.serialize_compute = false;  // keep the test fast
   const auto dist = run_distributed(w.ref, w.reads, config, options);
 
   EXPECT_EQ(positions(serial.calls), positions(dist.calls));
@@ -86,7 +85,6 @@ TEST_P(GenomePartitionRanks, RecoversSnpsAcrossSegmentBoundaries) {
   DistOptions options;
   options.ranks = GetParam();
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   options.batch_size = 128;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
 
@@ -103,7 +101,6 @@ TEST_P(GenomePartitionRanks, AgreesWithSerialOnCleanData) {
   DistOptions options;
   options.ranks = GetParam();
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
 
   // Weight pruning is applied locally per rank, so the accumulated masses
@@ -134,7 +131,6 @@ TEST(DistModes, RankLocalTsvSpliceIsByteIdenticalToRootRender) {
     DistOptions options;
     options.ranks = 3;
     options.mode = mode;
-    options.serialize_compute = false;
     options.batch_size = 128;
     const auto dist = run_distributed(w.ref, w.reads, config, options);
     ASSERT_FALSE(dist.calls.empty());
@@ -154,7 +150,6 @@ TEST(DistModes, SingleRankGenomePartitionMatchesSerial) {
   DistOptions options;
   options.ranks = 1;
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
   EXPECT_EQ(positions(serial.calls), positions(dist.calls));
 }
@@ -199,7 +194,6 @@ TEST(DistModes, SnpExactlyOnSegmentBoundaryIsCalledOnce) {
   DistOptions options;
   options.ranks = ranks;
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   const auto dist = run_distributed(ref, reads, test_config(), options);
 
   // Each truth site appears at most once in the gathered call list.
@@ -219,7 +213,6 @@ TEST(DistModes, ReadPartitionCommVolumeScalesWithGenome) {
   DistOptions options;
   options.ranks = 4;
   options.mode = DistMode::kReadPartition;
-  options.serialize_compute = false;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
 
   // The dominant traffic is the accumulator reduction: non-root ranks send
@@ -237,7 +230,6 @@ TEST(DistModes, GenomePartitionBroadcastsReads) {
   DistOptions options;
   options.ranks = 4;
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
 
   // Every read's bases+quals cross the network at least once.
@@ -249,13 +241,12 @@ TEST(DistModes, GenomePartitionBroadcastsReads) {
   EXPECT_LT(dist.max_rank_accum_bytes, w.ref.padded_size() * 20 / 2);
 }
 
-TEST(DistModes, SerializedComputeProducesPerRankTimes) {
+TEST(DistModes, RanksReportPerRankCpuComputeTimes) {
   const Workload w = make_workload(15000, 4.0);
   const PipelineConfig config = test_config();
   DistOptions options;
   options.ranks = 2;
   options.mode = DistMode::kReadPartition;
-  options.serialize_compute = true;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
   for (const auto& cost : dist.costs) {
     EXPECT_GT(cost.compute_seconds, 0.0);
@@ -280,7 +271,6 @@ TEST_P(AccumKindDist, ReadPartitionReducesEveryKind) {
   DistOptions options;
   options.ranks = 3;
   options.mode = DistMode::kReadPartition;
-  options.serialize_compute = false;
   const auto dist = run_distributed(w.ref, w.reads, config, options);
   // All kinds must produce some calls on a mutated genome; exact accuracy
   // per kind is the subject of the Table III bench.

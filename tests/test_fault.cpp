@@ -222,7 +222,6 @@ DistOptions base_options(DistMode mode, int ranks) {
   DistOptions options;
   options.ranks = ranks;
   options.mode = mode;
-  options.serialize_compute = false;  // keep the suite fast
   options.batch_size = 128;
   // recv_timeout_seconds is left at 0: fault-free runs wait forever (the
   // abort-on-death path still prevents deadlock) and fault runs pick the
@@ -274,27 +273,6 @@ TEST(FaultRecovery, GenomePartitionCrashRestartsFromCommonCheckpoint) {
   expect_identical_calls(clean.calls, faulty.calls);
   EXPECT_EQ(faulty.stats.reads_total, clean.stats.reads_total);
   EXPECT_EQ(faulty.stats.reads_mapped, clean.stats.reads_mapped);
-}
-
-TEST(FaultRecovery, ReadPartitionReclaimRedistributesLostShard) {
-  const Workload w = make_workload();
-  const PipelineConfig config = test_config();
-  const auto clean =
-      run_distributed(w.ref, w.reads, config,
-                      base_options(DistMode::kReadPartition, 3));
-
-  auto options = base_options(DistMode::kReadPartition, 3);
-  options.recovery = RecoveryPolicy::kReclaimReads;
-  options.faults.crash(1, 40);
-  const auto faulty = run_distributed(w.ref, w.reads, config, options);
-
-  EXPECT_EQ(faulty.recovery.attempts, 2);
-  // Graceful degradation: survivors absorb the lost shard, so every read is
-  // still mapped exactly once and the call set matches (weights can differ
-  // at rounding level from the different merge order, so compare sets).
-  EXPECT_EQ(faulty.stats.reads_total, clean.stats.reads_total);
-  EXPECT_EQ(faulty.stats.reads_mapped, clean.stats.reads_mapped);
-  EXPECT_EQ(positions(clean.calls), positions(faulty.calls));
 }
 
 TEST(FaultRecovery, DroppedReduceMessageRetriesAndMatches) {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <span>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,11 +17,13 @@
 
 #include "gnumap/core/pipeline.hpp"
 #include "gnumap/fleet/index_file.hpp"
+#include "gnumap/fleet/partials.hpp"
 #include "gnumap/fleet/registry.hpp"
 #include "gnumap/fleet/router.hpp"
 #include "gnumap/genome/sequence.hpp"
 #include "gnumap/io/fasta.hpp"
 #include "gnumap/io/fastq.hpp"
+#include "gnumap/io/read_codec.hpp"
 #include "gnumap/io/read_stream.hpp"
 #include "gnumap/io/snp_writer.hpp"
 #include "gnumap/serve/client.hpp"
@@ -466,6 +469,105 @@ TEST(FleetServe, EvictedAnswerRetriesAndSucceeds) {
 
   server.request_stop();
   server.wait();
+}
+
+// ---------------------------------------------------------------------------
+// Read codec: one wire form, errors typed for each caller
+
+/// Expects `fn` to throw WireError(kBadFrame).
+template <typename Fn>
+void expect_bad_frame(Fn&& fn, const std::string& label) {
+  try {
+    fn();
+    ADD_FAILURE() << label << ": no exception";
+  } catch (const WireError& e) {
+    EXPECT_EQ(e.code(), WireErrorCode::kBadFrame) << label;
+  }
+}
+
+/// Opens a shard-partials request on a live shard daemon, sends one
+/// SHARD_READS frame carrying `payload`, and returns the code of the ERROR
+/// frame the shard answers with.
+WireErrorCode shard_error_for(std::uint16_t port, const std::string& payload) {
+  Socket sock = serve::connect_tcp("127.0.0.1", port, 5'000);
+  serve::write_frame(sock, FrameType::kHello,
+                     serve::encode_hello(serve::kProtocolVersion, "codec"),
+                     5'000);
+  serve::MapBeginInfo begin;
+  begin.flags = serve::kFlagShardPartials;
+  serve::write_frame(sock, FrameType::kMapBegin, serve::encode_map_begin(begin),
+                     5'000);
+  serve::write_frame(sock, FrameType::kShardReads, payload, 5'000);
+  for (;;) {
+    auto frame = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
+    if (!frame.has_value()) {
+      ADD_FAILURE() << "shard closed without an ERROR frame";
+      return WireErrorCode::kInternal;
+    }
+    if (frame->type == FrameType::kError) {
+      return serve::decode_error(frame->payload).first;
+    }
+  }
+}
+
+TEST(ReadCodec, MalformedPayloadsAreTypedForBothCallers) {
+  // The layout is pinned byte for byte: SHARD_READS frames (the fleet
+  // router -> shard path) and mpsim rank payloads carry exactly this.
+  Read tiny;
+  tiny.name = "r";
+  tiny.bases = {0, 1};
+  tiny.quals = {30, 31};
+  const std::string tiny_bytes("\x01\x00\x00\x00\x01\x00r\x02\x00\x00\x00"
+                               "\x00\x01\x1e\x1f",
+                               15);
+  EXPECT_EQ(io::encode_reads({&tiny, 1}), tiny_bytes);
+  EXPECT_EQ(fleet::serialize_reads({&tiny, 1}), tiny_bytes);
+
+  const Workload w = make_workload(8000, 1.0);
+  const std::span<const Read> two(w.reads.data(), 2);
+  const std::string good = io::encode_reads(two);
+  const auto decoded = fleet::deserialize_reads(good);
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[1].name, two[1].name);
+  EXPECT_EQ(decoded[1].bases, two[1].bases);
+  EXPECT_EQ(decoded[1].quals, two[1].quals);
+
+  ServeOptions shard_options = test_options();
+  shard_options.shard_index = 0;
+  shard_options.shard_count = 2;
+  MappingServer shard(w.ref, small_config(), shard_options);
+  shard.start();
+
+  struct Case {
+    const char* label;
+    std::string payload;
+  };
+  const Case cases[] = {
+      {"truncated read count", good.substr(0, 2)},
+      {"truncated in the bases", good.substr(0, good.size() - 3)},
+      {"trailing bytes", good + "x"},
+      {"name length past the end", std::string("\x01\x00\x00\x00\xff\xff", 6)},
+  };
+  for (const Case& c : cases) {
+    // mpsim ranks decode with the io codec directly...
+    EXPECT_THROW(io::decode_reads(c.payload), ParseError) << c.label;
+    // ...the fleet path types the same failure for the wire...
+    expect_bad_frame([&] { fleet::deserialize_reads(c.payload); }, c.label);
+    // ...and a live shard answers it as kBadFrame.
+    EXPECT_EQ(shard_error_for(shard.port(), c.payload),
+              WireErrorCode::kBadFrame)
+        << c.label;
+  }
+
+  // A name longer than the u16 length field cannot be encoded.
+  Read long_name = tiny;
+  long_name.name.assign(65536, 'n');
+  EXPECT_THROW(io::encode_reads({&long_name, 1}), ParseError);
+  expect_bad_frame([&] { fleet::serialize_reads({&long_name, 1}); },
+                   "name over 65535 bytes");
+
+  shard.request_stop();
+  shard.wait();
 }
 
 // ---------------------------------------------------------------------------

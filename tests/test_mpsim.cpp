@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
+#include <thread>
 
 #include "gnumap/mpsim/communicator.hpp"
 #include "gnumap/mpsim/cost_model.hpp"
@@ -200,6 +202,25 @@ TEST(Mpsim, RankFailureWakesPeersBlockedInCollectives) {
   } catch (const ConfigError& e) {
     EXPECT_STREQ(e.what(), "rank 2 exploded");
   }
+}
+
+TEST(Mpsim, ComputeClockCountsThreadCpuNotSleep) {
+  // The per-rank compute clock is thread CPU time: a rank that sleeps
+  // inside a compute phase accrues (almost) nothing, and a busy rank's
+  // work is still counted.
+  const WorldRun run = run_world_collect(2, {}, [](Communicator& comm) {
+    comm.compute_clock().start();
+    if (comm.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    } else {
+      volatile double x = 0.0;
+      for (int i = 0; i < 5'000'000; ++i) x = x + 1.0;
+    }
+    comm.compute_clock().stop();
+  });
+  ASSERT_FALSE(run.error);
+  EXPECT_GT(run.compute_seconds[0], 0.0);
+  EXPECT_LT(run.compute_seconds[1], 0.05);
 }
 
 TEST(Mpsim, RejectsInvalidArgs) {

@@ -456,7 +456,6 @@ TEST_P(TracingObserverEffect, SnpOutputByteIdenticalTracingOnOff) {
   DistOptions options;
   options.ranks = 3;
   options.mode = GetParam();
-  options.serialize_compute = false;
 
   const auto baseline = run_distributed(w.ref, w.reads, config, options);
   obs::set_trace_enabled(true);
@@ -481,7 +480,6 @@ TEST_F(ObsTest, DistributedTraceHasPerRankCommComputeCheckpointSpans) {
   DistOptions options;
   options.ranks = 4;
   options.mode = DistMode::kReadPartition;
-  options.serialize_compute = false;
   // A benign plan (slow factor 1.0) switches fault_mode on — enabling
   // checkpoints — without perturbing the run.
   options.faults = FaultPlan().slow(0, 1.0);

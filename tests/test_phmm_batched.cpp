@@ -407,8 +407,9 @@ TEST(PhmmBatched, SimdLevelResolution) {
 }
 
 TEST(PhmmBatched, ScoreReadsMatchesScoreReadExactly) {
-  // End-to-end: the mapper's batched entry point must reproduce the serial
-  // one bit for bit — sites, weights, contributions, and statistics.
+  // End-to-end: the mapper's batched entry point must reproduce the scalar
+  // double oracle (score_reads_raw + the shared finalize epilogue) bit for
+  // bit — sites, weights, contributions, and statistics.
   Rng rng(20260805);
   const std::string genome_seq = random_seq(rng, 4000);
   Genome genome;
@@ -433,7 +434,13 @@ TEST(PhmmBatched, ScoreReadsMatchesScoreReadExactly) {
   std::vector<std::vector<ScoredSite>> serial;
   serial.reserve(reads.size());
   for (const Read& read : reads) {
-    serial.push_back(mapper.score_read(read, serial_ws, serial_stats));
+    auto raw = mapper.score_reads_raw({&read, 1}, serial_ws, serial_stats);
+    std::vector<ScoredSite> sites;
+    for (auto& candidate : raw.front()) {
+      if (candidate.ok) sites.push_back(std::move(candidate.site));
+    }
+    finalize_scored_sites(config, read, sites, serial_stats);
+    serial.push_back(std::move(sites));
   }
   const auto batched =
       mapper.score_reads(reads, batched_ws, batched_stats);

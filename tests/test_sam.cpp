@@ -91,7 +91,7 @@ TEST(SamExport, PerfectReadPrimaryAlignment) {
 
   MapperWorkspace ws;
   MapStats stats;
-  const auto sites = mapper.score_read(read, ws, stats);
+  const auto sites = mapper.score_reads({&read, 1}, ws, stats).front();
   ASSERT_FALSE(sites.empty());
   const auto records = to_sam_records(genome, read, sites, config);
   ASSERT_FALSE(records.empty());
@@ -133,7 +133,7 @@ TEST(SamExport, MultimappedReadGetsSecondaryRecords) {
   read.quals.assign(62, 40);
   MapperWorkspace ws;
   MapStats stats;
-  const auto sites = mapper.score_read(read, ws, stats);
+  const auto sites = mapper.score_reads({&read, 1}, ws, stats).front();
   ASSERT_EQ(sites.size(), 2u);
   const auto records = to_sam_records(genome, read, sites, config);
   ASSERT_EQ(records.size(), 2u);
@@ -171,7 +171,7 @@ TEST(SamExport, ReverseReadFlaggedAndOriented) {
 
   MapperWorkspace ws;
   MapStats stats;
-  const auto sites = mapper.score_read(read, ws, stats);
+  const auto sites = mapper.score_reads({&read, 1}, ws, stats).front();
   ASSERT_FALSE(sites.empty());
   const auto records = to_sam_records(genome, read, sites, config);
   ASSERT_FALSE(records.empty());

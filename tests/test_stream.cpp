@@ -655,32 +655,6 @@ TEST(StreamPipeline, EightThreadsByteIdenticalIncludingAccumulator) {
   EXPECT_EQ(threaded_result.output_bytes, serial_result.output_bytes);
 }
 
-TEST(StreamPipeline, WorkerFormatMatchesLegacyFormatInDrain) {
-  // A/B the tentpole refactor against the pre-refactor drain: rendering in
-  // the workers and splicing bytes must emit exactly what formatting
-  // inside the drain used to.
-  const Workload w = make_workload();
-  PipelineConfig worker_format = stream_config();
-  worker_format.threads = 4;
-  PipelineConfig legacy = worker_format;
-  legacy.format_in_drain = true;
-
-  std::ostringstream worker_sam, legacy_sam;
-  std::unique_ptr<Accumulator> worker_accum, legacy_accum;
-  const auto worker_result = run_pipeline_with_accumulator(
-      w.ref, w.reads, worker_format, &worker_accum, &worker_sam);
-  const auto legacy_result = run_pipeline_with_accumulator(
-      w.ref, w.reads, legacy, &legacy_accum, &legacy_sam);
-
-  EXPECT_EQ(worker_sam.str(), legacy_sam.str());
-  expect_identical_calls(worker_result.calls, legacy_result.calls);
-  EXPECT_EQ(worker_accum->to_bytes(), legacy_accum->to_bytes());
-  // The legacy path formats inside the drain, so its format time is folded
-  // into splice_seconds; the worker path reports it separately.
-  EXPECT_GT(worker_result.format_seconds, 0.0);
-  EXPECT_EQ(legacy_result.format_seconds, 0.0);
-}
-
 TEST(StreamPipeline, TinyOutputBufferStillByteIdentical) {
   // A byte budget far below one rendered chunk forces maximal blocking in
   // the splicer; the in-order exemption must keep the pipeline live and
@@ -752,37 +726,12 @@ TEST(StreamPipeline, InFlightPeakBoundedIndependentOfDatasetSize) {
 // Distributed streaming: byte-identical to the vector overload, and
 // fault-tolerant via stream-cursor checkpoints.
 
-TEST(StreamDist, ReadPartitionMatchesVectorPathExactly) {
-  const Workload w = make_workload();
-  const PipelineConfig config = stream_config();
-  DistOptions options;
-  options.ranks = 3;
-  options.mode = DistMode::kReadPartition;
-  options.serialize_compute = false;
-
-  const auto vector_result = run_distributed(w.ref, w.reads, config, options);
-  VectorReadStream stream(w.reads, config.stream_batch);
-  const auto stream_result = run_distributed(w.ref, stream, config, options);
-
-  // Sized stream -> the pump follows the vector path's shard boundaries;
-  // per-rank accumulators, the reduce, and the calls are all bit-identical.
-  expect_identical_calls(vector_result.calls, stream_result.calls);
-  EXPECT_EQ(vector_result.stats.reads_total, stream_result.stats.reads_total);
-  EXPECT_EQ(vector_result.stats.reads_mapped,
-            stream_result.stats.reads_mapped);
-  // Rank-local TSV formatting: the document rank 0 assembled must equal a
-  // root-side render of the final calls — i.e. the serial bytes.
-  EXPECT_EQ(vector_result.tsv, calls_tsv(vector_result.calls));
-  EXPECT_EQ(stream_result.tsv, vector_result.tsv);
-}
-
 TEST(StreamDist, GenomePartitionMatchesVectorPathExactly) {
   const Workload w = make_workload();
   const PipelineConfig config = stream_config();
   DistOptions options;
   options.ranks = 3;
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   options.batch_size = 128;
 
   const auto vector_result = run_distributed(w.ref, w.reads, config, options);
@@ -816,7 +765,6 @@ TEST(StreamDist, ReadPartitionCrashRecoveryMatchesFaultFree) {
   DistOptions options;
   options.ranks = 3;
   options.mode = DistMode::kReadPartition;
-  options.serialize_compute = false;
 
   VectorReadStream clean_stream(w.reads, config.stream_batch);
   const auto clean = run_distributed(w.ref, clean_stream, config, options);
@@ -841,7 +789,6 @@ TEST(StreamDist, GenomePartitionCrashRecoveryMatchesFaultFree) {
   DistOptions options;
   options.ranks = 3;
   options.mode = DistMode::kGenomePartition;
-  options.serialize_compute = false;
   options.batch_size = 128;
 
   VectorReadStream clean_stream(w.reads, config.stream_batch);
