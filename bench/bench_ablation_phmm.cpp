@@ -70,10 +70,13 @@ BENCHMARK(BM_ForwardBackward)->Arg(36)->Arg(62)->Arg(100)->Arg(150);
 /// iterations, and reports GCUPS (useful DP cells per kernel second / 1e9,
 /// docs/KERNELS.md §9) plus lane occupancy (useful / swept cells).
 /// Mirrors the numbers into the metrics registry so a --metrics-out export
-/// carries the BENCH_phmm.json series under the shared schema.
+/// carries the BENCH_phmm.json series under the shared schema.  With
+/// `forward_only` the batch runs run_forward() instead of the drain, as the
+/// mapper's all-candidate decision sweep does.
 void run_batched(benchmark::State& state, const std::vector<Fixture>& fixtures,
                  phmm::SimdLevel level, phmm::Precision precision,
-                 std::size_t bin_slack, const std::string& series) {
+                 std::size_t bin_slack, const std::string& series,
+                 bool forward_only = false) {
   phmm::BatchedForward batch((PhmmParams()), BoundaryMode::kSemiGlobal,
                              phmm::EngineOptions{.simd = level,
                                                  .precision = precision,
@@ -89,7 +92,12 @@ void run_batched(benchmark::State& state, const std::vector<Fixture>& fixtures,
   for (auto _ : state) {
     batch.clear();  // also resets timings: accumulate them per iteration
     for (const Fixture& fx : fixtures) batch.add(fx.pwm, fx.window);
-    batch.run(consume);
+    if (forward_only) {
+      batch.run_forward();
+      sink += batch.outcome(0).log_likelihood;
+    } else {
+      batch.run(consume);
+    }
     total += batch.timings();
     benchmark::DoNotOptimize(sink);
   }
@@ -134,7 +142,7 @@ void run_batched(benchmark::State& state, const std::vector<Fixture>& fixtures,
 /// batching + vectorization speedup; the fp64 rows are bit-identical
 /// across levels, so that axis is a pure throughput knob, while fp32
 /// doubles the lane count at ~1e-5 relative score error (KERNELS.md §8).
-void BM_BatchedForwardBackward(benchmark::State& state) {
+void run_uniform_batch(benchmark::State& state, bool forward_only) {
   const auto level = static_cast<phmm::SimdLevel>(state.range(1));
   if (phmm::resolve_simd_level(level) != level) {
     state.SkipWithError("SIMD level not supported on this host");
@@ -154,11 +162,27 @@ void BM_BatchedForwardBackward(benchmark::State& state) {
                              phmm::simd_level_name(level) + "\",prec=\"" +
                              phmm::precision_name(precision) +
                              "\",read_len=\"" +
-                             std::to_string(state.range(0)) + "\"";
+                             std::to_string(state.range(0)) + "\"" +
+                             (forward_only ? ",sweep=\"forward\"" : "");
   run_batched(state, fixtures, level, precision, phmm::kDefaultBinSlack,
-              series);
+              series, forward_only);
+}
+
+void BM_BatchedForwardBackward(benchmark::State& state) {
+  run_uniform_batch(state, /*forward_only=*/false);
 }
 BENCHMARK(BM_BatchedForwardBackward)
+    ->ArgsProduct({{36, 62, 100, 150}, {0, 1, 2}, {0, 1}});
+
+/// BM_BatchedForwardBackward's batch through run_forward(): the forward
+/// sweep alone, which is what the mapper runs over every candidate before
+/// it prunes (docs/KERNELS.md §5).  Same arguments; GCUPS here counts each
+/// cell once per forward sweep, so it is not comparable one to one with
+/// the forward+backward rows' figure.
+void BM_BatchedForwardOnly(benchmark::State& state) {
+  run_uniform_batch(state, /*forward_only=*/true);
+}
+BENCHMARK(BM_BatchedForwardOnly)
     ->ArgsProduct({{36, 62, 100, 150}, {0, 1, 2}, {0, 1}});
 
 /// The length-binned scheduler on a mapper-realistic mixed batch: 32 tasks

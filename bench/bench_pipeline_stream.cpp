@@ -13,21 +13,22 @@
 // only splices bytes.  SAM goes to a byte-counting null stream so rendering
 // cost is measured without disk noise.  The split timings (format_seconds /
 // splice_seconds) land in BENCH_pipeline.json; the claim is that splice
-// stays a small share of the run at high thread counts.  (The committed
-// JSON also keeps the retired "legacy-drain" rows, which formatted inside
-// the drain, as the recorded A/B.)
+// stays a small share of the run at high thread counts.
 //
 // Emits BENCH_pipeline.json (reads/sec, peak RSS, in-flight peak per run)
-// next to the table it prints.  Peak RSS is VmHWM from /proc/self/status,
-// reset between phases via /proc/self/clear_refs where the kernel allows;
-// when the reset is unavailable VmHWM is monotonic and later phases inherit
-// earlier peaks (flagged in the JSON).
+// next to the table it prints, with the host it ran on (cores, build type,
+// 1-minute load average at the start) so a baseline's provenance shows.
+// Peak RSS is VmHWM from /proc/self/status, reset between phases via
+// /proc/self/clear_refs where the kernel allows; when the reset is
+// unavailable VmHWM is monotonic and later phases inherit earlier peaks
+// (flagged in the JSON).
 //
 // Usage: bench_pipeline_stream [threads] [genome_bp]
 //        (--metrics-out FILE / --trace-out FILE via the common obs flags)
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <thread>
 #include <ostream>
 #include <sstream>
 #include <streambuf>
@@ -38,6 +39,7 @@
 #include "gnumap/core/pipeline.hpp"
 #include "gnumap/io/fastq.hpp"
 #include "gnumap/io/read_stream.hpp"
+#include "gnumap/obs/build_info.hpp"
 #include "gnumap/obs/obs_cli.hpp"
 #include "gnumap/util/timer.hpp"
 
@@ -114,6 +116,8 @@ int main(int argc, char** argv) {
 
   PipelineConfig config = bench::default_pipeline_config();
   config.threads = threads;
+  double load_1m = -1.0;  // -1 when getloadavg is unavailable
+  (void)getloadavg(&load_1m, 1);
 
   const bool rss_resets = reset_peak_rss();
   std::printf("pipeline stream bench: %.2f Mbp genome, threads=%d, "
@@ -223,6 +227,9 @@ int main(int argc, char** argv) {
        << "  \"queue_depth\": " << config.queue_depth << ",\n"
        << "  \"rss_reset_supported\": " << (rss_resets ? "true" : "false")
        << ",\n"
+       << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
+       << ", \"build_type\": \"" << obs::build_info().build_type
+       << "\", \"load_1m\": " << load_1m << "},\n"
        << "  \"runs\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const RunResult& run = results[i];

@@ -11,8 +11,8 @@ Guards two throughput surfaces in CI:
 * Pipeline (--pipeline): a fresh BENCH_pipeline.json (written by
   bench_pipeline_stream) is compared on ``reads_per_sec``, covering both
   the monolithic-vs-streaming ``runs`` rows and the ``drain_scaling`` rows
-  (per thread count; the baseline's retired legacy-drain rows have no
-  fresh counterpart and are skipped).
+  (per thread count; rows present in only one file, such as the retired
+  legacy-drain rows of older baselines, are skipped).
 
 * Fleet startup (--startup): the JSON written by ``gnumap_index
   --startup-json`` is gated on its own two timings, no committed baseline:

@@ -109,10 +109,17 @@ struct MapStats {
   std::uint64_t reads_mapped = 0;
   std::uint64_t candidates_evaluated = 0;
   std::uint64_t sites_accumulated = 0;
+  /// DP cells, (read length + 1) * (window + 1), of each candidate that
+  /// aligned (ok), counted once per candidate.  The kernel's own
+  /// KernelTimings::cells differs: it counts every swept task, so
+  /// score_reads' survivors add their cells a second time for the
+  /// forward+backward re-sweep.
   std::uint64_t dp_cells = 0;
   /// Wall-clock seconds inside the batched PHMM kernels (score_reads only;
-  /// the scalar oracle, score_reads_raw, is untimed).  Feeds the alpha-beta
-  /// cost model and the Figure-4 / Table-3 benches.
+  /// the scalar oracle, score_reads_raw, is untimed).  Forward covers both
+  /// score_reads sweeps: the all-candidate forward-only pass and the
+  /// survivors' re-sweep; backward runs for survivors only.  Feeds the
+  /// alpha-beta cost model and the Figure-4 / Table-3 benches.
   double phmm_forward_seconds = 0.0;
   double phmm_backward_seconds = 0.0;
   /// Reads re-scored with the scalar double oracle because an fp32 mapping

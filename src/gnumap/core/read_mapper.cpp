@@ -79,7 +79,9 @@ std::vector<ReadMapper::CandidateWindow> ReadMapper::gather_candidates(
 }
 
 void finalize_scored_sites(const PipelineConfig& config, const Read& read,
-                           std::vector<ScoredSite>& sites, MapStats& stats) {
+                           std::vector<ScoredSite>& sites, MapStats& stats,
+                           std::vector<std::size_t>* kept_index) {
+  if (kept_index != nullptr) kept_index->clear();
   if (sites.empty()) return;
 
   // Mapped-at-all test: best per-base log-likelihood above the cutoff.
@@ -100,9 +102,14 @@ void finalize_scored_sites(const PipelineConfig& config, const Read& read,
     site.weight = std::exp(site.log_likelihood - best_ll) / norm;
   }
   // Prune negligible sites, then renormalize the survivors.
-  std::erase_if(sites, [&](const ScoredSite& site) {
-    return site.weight < config.min_site_posterior;
-  });
+  std::size_t out = 0;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    if (sites[i].weight < config.min_site_posterior) continue;
+    if (kept_index != nullptr) kept_index->push_back(i);
+    if (out != i) sites[out] = std::move(sites[i]);
+    ++out;
+  }
+  sites.resize(out);
   double kept = 0.0;
   for (const auto& site : sites) kept += site.weight;
   if (kept > 0.0) {
@@ -110,12 +117,6 @@ void finalize_scored_sites(const PipelineConfig& config, const Read& read,
   }
   if (!sites.empty()) ++stats.reads_mapped;
   stats.sites_accumulated += sites.size();
-}
-
-void ReadMapper::finalize_sites(const Read& read,
-                                std::vector<ScoredSite>& sites,
-                                MapStats& stats) const {
-  finalize_scored_sites(config_, read, sites, stats);
 }
 
 std::optional<ScoredSite> ReadMapper::score_candidate(
@@ -138,7 +139,7 @@ std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
 
   // Phase 1: seed every read and queue all candidate alignments.  PWM and
   // candidate storage is pre-sized so the pointers the batch borrows stay
-  // put until run() returns.
+  // put until the last sweep returns.
   ws.batch.configure(config_.phmm, BoundaryMode::kSemiGlobal,
                      phmm::EngineOptions{.simd = simd_level_,
                                          .precision = precision_,
@@ -159,59 +160,36 @@ std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
     }
   }
 
-  // Phase 2: one vectorized forward/backward sweep over the whole chunk,
-  // draining each SIMD pack through posterior extraction while its matrices
-  // are still cache-hot (the engine recycles a width-sized matrix pool).
-  // Tasks drain in shape-grouped pack order, so results land in positional
-  // slots keyed by task id.
-  std::vector<ScoredSite> task_sites(pending.size());
-  std::vector<unsigned char> task_scored(pending.size(), 0);
+  // Phase 2: one vectorized forward sweep over the whole chunk yields every
+  // candidate's likelihood, which is all a mapping decision reads.  Tasks
+  // were added read-major, so walking them in id order builds each read's
+  // likelihood-only site headers in exactly the order the scalar path
+  // produces its sites; site_task remembers which task each header is.
   const double batch_start_us = obs::trace_now_us();
-  ws.batch.run([&](std::size_t task) {
-    if (!ws.batch.outcome(task).ok) return;
-    const Read& read = reads[pending[task].read];
-    const CandidateWindow& cw =
-        candidates[pending[task].read][pending[task].cand];
-    stats.dp_cells += (read.length() + 1) * (cw.window.size() + 1);
-
-    ScoredSite& site = task_sites[task];
-    site.window_begin = cw.window_begin;
-    site.log_likelihood = ws.batch.outcome(task).log_likelihood;
-    site.reverse = cw.reverse;
-    site.contributions = condense_marginals(hmm_, *cw.pwm,
-                                            ws.batch.matrices(task),
-                                            config_.marginal);
-    task_scored[task] = 1;
-  });
-  obs::record_complete("phmm_batch", "phmm", batch_start_us,
-                       obs::trace_now_us() - batch_start_us, "tasks",
-                       static_cast<double>(pending.size()), "reads",
-                       static_cast<double>(reads.size()));
-  stats.phmm_forward_seconds += ws.batch.timings().forward_seconds;
-  stats.phmm_backward_seconds += ws.batch.timings().backward_seconds;
-  // Per-batch kernel latency; resolved once so per-chunk updates are a pair
-  // of relaxed atomics.
-  static obs::Histogram& batch_histogram = obs::registry().histogram(
-      "gnumap_phmm_batch_seconds", obs::default_time_buckets(),
-      "Forward+backward kernel time per SIMD batch sweep");
-  batch_histogram.observe(ws.batch.timings().forward_seconds +
-                          ws.batch.timings().backward_seconds);
-
-  // Phase 3: tasks were added read-major, so walking the slots in id order
-  // rebuilds each read's site list in exactly the order the scalar path
-  // produces — the accumulation downstream is order-sensitive in float.
+  ws.batch.run_forward();
+  std::vector<std::vector<std::size_t>> site_task(reads.size());
   for (std::size_t task = 0; task < pending.size(); ++task) {
-    if (task_scored[task] == 0) continue;
-    scored[pending[task].read].push_back(std::move(task_sites[task]));
+    const phmm::BatchOutcome& outcome = ws.batch.outcome(task);
+    if (!outcome.ok) continue;
+    const auto [r, c] = pending[task];
+    const CandidateWindow& cw = candidates[r][c];
+    stats.dp_cells += (reads[r].length() + 1) * (cw.window.size() + 1);
+    ScoredSite site;
+    site.window_begin = cw.window_begin;
+    site.log_likelihood = outcome.log_likelihood;
+    site.reverse = cw.reverse;
+    scored[r].push_back(std::move(site));
+    site_task[r].push_back(task);
   }
 
-  // FP32 guard: before the decisions in finalize_sites are taken on
-  // single-precision scores, re-score any read whose decisions sit within
-  // the configured margin of a threshold with the scalar double oracle —
-  // its candidate windows are still staged, so this reuses the exact
-  // enumeration the batch saw.  Off-margin decisions are unaffected by fp32
-  // rounding by construction, so the calls the pipeline emits match the
-  // fp64 path read for read (docs/KERNELS.md §8).
+  // FP32 guard: before the decisions below are taken on single-precision
+  // scores, re-score any read whose decisions sit within the configured
+  // margin of a threshold with the scalar double oracle (sites and
+  // contributions both) — its candidate windows are still staged, so this
+  // reuses the exact enumeration the batch saw.  Off-margin decisions are
+  // unaffected by fp32 rounding by construction, so the calls the pipeline
+  // emits match the fp64 path read for read (docs/KERNELS.md §8).  A
+  // re-scored read's site_task is emptied: it needs no survivor sweep.
   if (precision_ == phmm::Precision::kSingle) {
     static obs::Counter& recomputed = obs::registry().counter(
         "gnumap_phmm_fp32_recomputed_total",
@@ -222,6 +200,7 @@ std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
       ++stats.fp32_recomputed_reads;
       recomputed.inc();
       scored[r].clear();
+      site_task[r].clear();
       for (const CandidateWindow& cw : candidates[r]) {
         if (auto site = score_candidate(cw, ws.mats)) {
           scored[r].push_back(std::move(*site));
@@ -230,9 +209,49 @@ std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
     }
   }
 
+  // Decide: the shared epilogue prunes each read's headers; only the tasks
+  // behind the surviving sites still need their marginals.  Survivors are
+  // collected in ascending task order, and their sites no longer move.
+  std::vector<std::size_t> survivors;
+  std::vector<ScoredSite*> survivor_site(pending.size(), nullptr);
+  std::vector<std::size_t> kept;
   for (std::size_t r = 0; r < reads.size(); ++r) {
-    finalize_sites(reads[r], scored[r], stats);
+    finalize_scored_sites(config_, reads[r], scored[r], stats, &kept);
+    if (site_task[r].empty()) continue;
+    for (std::size_t s = 0; s < kept.size(); ++s) {
+      const std::size_t task = site_task[r][kept[s]];
+      survivors.push_back(task);
+      survivor_site[task] = &scored[r][s];
+    }
   }
+
+  // Phase 3: forward+backward over the survivors only, draining each SIMD
+  // pack through marginal condensing while its matrices are cache-hot (the
+  // engine recycles a width-sized matrix pool).  Every lane is bit-identical
+  // whatever pack it lands in, so the contributions match a sweep over the
+  // whole chunk.  The engine's timings now cover both sweeps.
+  ws.batch.run(
+      [&](std::size_t task) {
+        const CandidateWindow& cw =
+            candidates[pending[task].read][pending[task].cand];
+        survivor_site[task]->contributions = condense_marginals(
+            hmm_, *cw.pwm, ws.batch.matrices(task), config_.marginal);
+      },
+      survivors);
+  obs::record_complete("phmm_batch", "phmm", batch_start_us,
+                       obs::trace_now_us() - batch_start_us, "tasks",
+                       static_cast<double>(pending.size()), "survivors",
+                       static_cast<double>(survivors.size()));
+  stats.phmm_forward_seconds += ws.batch.timings().forward_seconds;
+  stats.phmm_backward_seconds += ws.batch.timings().backward_seconds;
+  // Per-chunk kernel latency; resolved once so per-chunk updates are a pair
+  // of relaxed atomics.
+  static obs::Histogram& batch_histogram = obs::registry().histogram(
+      "gnumap_phmm_batch_seconds", obs::default_time_buckets(),
+      "Kernel time per score_reads chunk: the all-candidate forward sweep "
+      "plus the survivors' forward+backward sweep");
+  batch_histogram.observe(ws.batch.timings().forward_seconds +
+                          ws.batch.timings().backward_seconds);
   return scored;
 }
 
@@ -273,7 +292,7 @@ bool ReadMapper::fp32_borderline(const Read& read,
   const double margin = config_.phmm_fp32_margin;
   double best = sites.front().log_likelihood;
   for (const auto& site : sites) best = std::max(best, site.log_likelihood);
-  // Decision 1: the mapped-at-all cutoff in finalize_sites.
+  // Decision 1: the mapped-at-all cutoff in finalize_scored_sites.
   const double cutoff =
       config_.min_loglik_per_base * static_cast<double>(read.length());
   if (std::abs(best - cutoff) <= margin) return true;

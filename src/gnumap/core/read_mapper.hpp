@@ -1,5 +1,6 @@
-// Mapping one read: seed -> PHMM forward/backward per candidate ->
-// posterior-weighted marginal accumulation.
+// Mapping one read: seed -> PHMM forward per candidate -> posterior
+// weights and pruning -> forward/backward and marginal condensing for the
+// surviving sites -> posterior-weighted marginal accumulation.
 //
 // This is the paper's Figure 1 steps (A) and (B).  The posterior mapping
 // weight is what distinguishes GNUMAP from single-alignment mappers: each
@@ -65,9 +66,14 @@ struct RawCandidate {
 /// cutoff, posterior softmax, pruning, renormalization, and the
 /// mapped/site counters.  Empties `sites` for unmapped reads.  Exposed as
 /// a free function so the fleet router replays bit-identical float
-/// arithmetic on merged shard partials.
+/// arithmetic on merged shard partials.  It reads nothing but each site's
+/// log_likelihood, so it decides as well on likelihood-only headers (no
+/// contributions yet) as on full sites.  When `kept_index` is given it gets
+/// the input index of each surviving site, in order (empty when the read
+/// is unmapped).
 void finalize_scored_sites(const PipelineConfig& config, const Read& read,
-                           std::vector<ScoredSite>& sites, MapStats& stats);
+                           std::vector<ScoredSite>& sites, MapStats& stats,
+                           std::vector<std::size_t>* kept_index = nullptr);
 
 class ReadMapper {
  public:
@@ -76,22 +82,28 @@ class ReadMapper {
              const PipelineConfig& config);
 
   /// Scores every candidate site of each read in `reads` (the one mapping
-  /// path).  All candidate alignments of the chunk run through the SIMD
-  /// Pair-HMM engine in one sweep (inter-task parallelism; see
-  /// phmm::BatchedForward).  Returns one site vector per read, in input
-  /// order.  Sites are pruned to those with posterior weight >=
-  /// config.min_site_posterior; weights sum to 1 over the returned set.
-  /// Empty vector = unmapped read.  When `diagonal_begin`/`diagonal_end`
-  /// are set (genome-partition mode), only candidates whose diagonal falls
-  /// in [begin, end) are considered.
+  /// path).  Returns one site vector per read, in input order.  Sites are
+  /// pruned to those with posterior weight >= config.min_site_posterior;
+  /// weights sum to 1 over the returned set.  Empty vector = unmapped
+  /// read.  When `diagonal_begin`/`diagonal_end` are set (genome-partition
+  /// mode), only candidates whose diagonal falls in [begin, end) are
+  /// considered.
+  ///
+  /// Decide, then condense (docs/KERNELS.md §5).  Every candidate of the
+  /// chunk runs through one SIMD forward-only sweep
+  /// (phmm::BatchedForward::run_forward); the mapping decisions
+  /// (finalize_scored_sites: cutoff, softmax, prune, renormalize) need only
+  /// those likelihoods.  Only the surviving sites' tasks are then swept
+  /// forward and backward, each drained through condense_marginals while
+  /// its matrices are cache-hot.  With fp32 lanes, the recompute guard
+  /// runs on the forward-pass scores before the decisions.
+  ///
   /// Results are bit-identical to the scalar double oracle
   /// (score_reads_raw + finalize_scored_sites) — candidate enumeration,
   /// kernel arithmetic, and the posterior softmax all happen in the same
-  /// order — and kernel time is recorded in stats.phmm_{forward,backward}_
-  /// seconds.  The dispatch level comes from PipelineConfig::simd.
-  /// Internally drains the engine's recycled matrix pool (run(consume)),
-  /// condensing each task's marginals while its matrices are cache-hot;
-  /// see docs/KERNELS.md §5.
+  /// order.  stats.dp_cells counts each aligned candidate once;
+  /// stats.phmm_{forward,backward}_seconds and ws.batch.timings() cover
+  /// both sweeps.  The dispatch level comes from PipelineConfig::simd.
   std::vector<std::vector<ScoredSite>> score_reads(
       std::span<const Read> reads, MapperWorkspace& ws, MapStats& stats,
       GenomePos diagonal_begin = 0, GenomePos diagonal_end = 0) const;
@@ -174,10 +186,6 @@ class ReadMapper {
   /// and the fp32 recompute guard.
   std::optional<ScoredSite> score_candidate(const CandidateWindow& cw,
                                             AlignmentMatrices& mats) const;
-
-  /// Member shim over finalize_scored_sites (the free function above).
-  void finalize_sites(const Read& read, std::vector<ScoredSite>& sites,
-                      MapStats& stats) const;
 
   /// FP32 guard: true when one of `read`'s mapping decisions — the
   /// mapped-at-all cutoff or a site-posterior prune — lands within

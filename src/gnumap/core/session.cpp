@@ -266,8 +266,13 @@ void map_staged(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink,
     });
   }
 
-  while (auto worked = splicer.pop_next()) {
-    in_flight.fetch_sub(worked->reads, std::memory_order_relaxed);
+  // The drained batch leaves the in-flight count before the reorder window
+  // advances: otherwise a worker admitted at the new window edge could
+  // free the decoder to count one more batch while this one still counts.
+  const auto release = [&](const WorkedBatch& worked) {
+    in_flight.fetch_sub(worked.reads, std::memory_order_relaxed);
+  };
+  while (auto worked = splicer.pop_next(release)) {
     splice_chunk(sink, std::move(*worked));
   }
 

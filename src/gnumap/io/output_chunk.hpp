@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gnumap/accum/accumulator.hpp"
@@ -106,7 +107,14 @@ class ChunkSplicer {
   /// one arrives.  Returns nullopt once closed with no in-order chunk
   /// parked.
   std::optional<Chunk> pop_next() {
-    auto chunk = reorder_.pop_next();
+    return pop_next([](const Chunk&) {});
+  }
+
+  /// pop_next() that calls `release(chunk)` before the window advances
+  /// past the chunk (ReorderBuffer::pop_next(release)).
+  template <typename Release>
+  std::optional<Chunk> pop_next(Release&& release) {
+    auto chunk = reorder_.pop_next(std::forward<Release>(release));
     if (chunk.has_value()) {
       ++chunks_spliced_;
       spliced_bytes_ += chunk->bytes();

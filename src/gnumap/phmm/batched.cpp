@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <limits>
 #include <numeric>
+#include <optional>
 #include <string>
 
 #include "gnumap/obs/metrics.hpp"
@@ -199,9 +200,18 @@ std::size_t BatchedForward::add(const Pwm& pwm,
   return tasks_.size() - 1;
 }
 
-void BatchedForward::run() { run_impl(nullptr); }
+void BatchedForward::run() { run_impl(Sweep::kMaterialize, nullptr); }
 
-void BatchedForward::run(const TaskConsumer& consume) { run_impl(&consume); }
+void BatchedForward::run(const TaskConsumer& consume) {
+  run_impl(Sweep::kDrain, &consume);
+}
+
+void BatchedForward::run(const TaskConsumer& consume,
+                         std::span<const std::size_t> tasks) {
+  run_impl(Sweep::kDrain, &consume, tasks);
+}
+
+void BatchedForward::run_forward() { run_impl(Sweep::kForwardOnly, nullptr); }
 
 const AlignmentMatrices& BatchedForward::matrices(std::size_t task) const {
   // Inside a run(consume) callback the task's matrices live in a pool slot;
@@ -212,8 +222,16 @@ const AlignmentMatrices& BatchedForward::matrices(std::size_t task) const {
   return mats_[task];
 }
 
-void BatchedForward::run_impl(const TaskConsumer* consume) {
-  const std::size_t count = tasks_.size();
+void BatchedForward::run_impl(
+    Sweep sweep, const TaskConsumer* consume,
+    std::optional<std::span<const std::size_t>> subset) {
+  if (subset) {
+    order_.assign(subset->begin(), subset->end());
+  } else {
+    order_.resize(tasks_.size());
+    std::iota(order_.begin(), order_.end(), std::size_t{0});
+  }
+  const std::size_t count = order_.size();
   const detail::KernelBackend backend = backend_for(level_);
   const std::size_t width =
       precision_ == Precision::kSingle ? backend.width_f32 : backend.width;
@@ -221,8 +239,10 @@ void BatchedForward::run_impl(const TaskConsumer* consume) {
                       static_cast<double>(count), "width",
                       static_cast<double>(width));
   const KernelTimings before = timings_;
-  outcomes_.assign(count, BatchOutcome{});
-  if (consume != nullptr) {
+  // Tasks outside a subset run keep their outcomes; every swept task's
+  // outcome is overwritten below.
+  outcomes_.resize(tasks_.size());
+  if (sweep != Sweep::kMaterialize) {
     if (pool_.size() < kMaxWidth) pool_.resize(kMaxWidth);
   } else if (mats_.size() < count) {
     mats_.resize(count);  // never shrinks: capacity pool
@@ -236,8 +256,6 @@ void BatchedForward::run_impl(const TaskConsumer* consume) {
   // spread inside a pack is the spread of adjacent order statistics, which
   // for Illumina-style length mixes is usually zero or tiny — that, not the
   // mask arithmetic, is where the occupancy win comes from.
-  order_.resize(count);
-  std::iota(order_.begin(), order_.end(), std::size_t{0});
   auto shape = [this](std::size_t t) {
     return std::pair<std::size_t, std::size_t>(tasks_[t].pwm->length(),
                                                tasks_[t].window.size());
@@ -252,8 +270,9 @@ void BatchedForward::run_impl(const TaskConsumer* consume) {
       // Degenerate tasks mirror a failed PairHmm::align: zeroed matrices of
       // the nominal shape, -inf likelihood, no sweep.
       const std::size_t t = order_[begin];
-      AlignmentMatrices& dst = consume != nullptr ? pool_[0] : mats_[t];
-      dst.reset(n0, m0);
+      AlignmentMatrices& dst =
+          sweep == Sweep::kMaterialize ? mats_[t] : pool_[0];
+      if (sweep != Sweep::kForwardOnly) dst.reset(n0, m0);
       outcomes_[t] = BatchOutcome{tasks_[t].tag, kNegInf, false};
       ++timings_.tasks;
       if (consume != nullptr) {
@@ -287,7 +306,7 @@ void BatchedForward::run_impl(const TaskConsumer* consume) {
       ++end;
     }
     run_pack(std::span<const std::size_t>(order_.data() + begin, end - begin),
-             max_n, max_m, consume);
+             max_n, max_m, sweep, consume);
     begin = end;
   }
 
@@ -309,25 +328,25 @@ void BatchedForward::run_impl(const TaskConsumer* consume) {
   if (delta_cells > 0 && delta_seconds > 0.0) {
     static obs::Gauge& gcups = obs::registry().gauge(
         "gnumap_phmm_gcups",
-        "Billions of useful DP cell updates per second (forward + backward) "
-        "of the last batched PHMM run");
+        "Billions of useful DP cell updates per second of the last batched "
+        "PHMM run (forward + backward, or forward only for run_forward)");
     gcups.set(static_cast<double>(delta_cells) / delta_seconds / 1e9);
   }
 }
 
 void BatchedForward::run_pack(std::span<const std::size_t> task_ids,
-                              std::size_t n, std::size_t m,
+                              std::size_t n, std::size_t m, Sweep sweep,
                               const TaskConsumer* consume) {
   if (precision_ == Precision::kSingle) {
-    run_pack_impl<float>(task_ids, n, m, consume);
+    run_pack_impl<float>(task_ids, n, m, sweep, consume);
   } else {
-    run_pack_impl<double>(task_ids, n, m, consume);
+    run_pack_impl<double>(task_ids, n, m, sweep, consume);
   }
 }
 
 template <typename T>
 void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
-                                   std::size_t n, std::size_t m,
+                                   std::size_t n, std::size_t m, Sweep sweep,
                                    const TaskConsumer* consume) {
   constexpr bool kF32 = std::is_same_v<T, float>;
   const detail::KernelBackend backend = backend_for(level_);
@@ -340,6 +359,7 @@ void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
     }
   }();
   const std::size_t active = task_ids.size();
+  const bool with_backward = sweep != Sweep::kForwardOnly;
   const std::size_t stride = m + 1;
   const std::size_t cells = (n + 1) * stride;
   const std::size_t row_w = stride * W;  // lane-interleaved row
@@ -410,10 +430,11 @@ void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
     interleave(&sc.pstar[(i - 1) * row_w + W], stage, m);
   }
 
-  // Masked packs additionally stage the column mask and the backward-init
-  // rows.  The init values are computed per lane in double with the scalar
-  // kernel's exact expression trees (then narrowed to T), so a double
-  // masked lane's backward matrices match the oracle bit for bit.
+  // Masked packs additionally stage the column mask and, when the pack
+  // sweeps backward, the backward-init rows.  The init values are computed
+  // per lane in double with the scalar kernel's exact expression trees
+  // (then narrowed to T), so a double masked lane's backward matrices match
+  // the oracle bit for bit.
   if (!uniform) {
     resize_for_overwrite(sc.colmask, row_w);
     for (std::size_t j = 0; j <= m; ++j) {
@@ -422,6 +443,8 @@ void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
             (l < active && j <= lane_m_[l]) ? T(1) : T(0);
       }
     }
+  }
+  if (!uniform && with_backward) {
     for (auto* buf : {&sc.binit_bm, &sc.binit_bgx, &sc.binit_bgy}) {
       resize_for_overwrite(*buf, row_w);
       std::fill(buf->begin(), buf->end(), T(0));
@@ -465,29 +488,36 @@ void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
   // (n+1)*(m+1) cells of all six matrices (boundary zeros included) with
   // padding lanes pointed at the shared trash matrix; masked packs write
   // exactly each live lane's own (lane_n+1)*(lane_m+1) cells.  In drain
-  // mode the destinations are the recycled pool slots — after the first
-  // pack of a shape they are L2-hot, which is precisely the point.
+  // and forward-only mode the destinations are the recycled pool slots —
+  // after the first pack of a shape they are L2-hot, which is precisely the
+  // point; a forward-only pack sizes and writes only the forward matrices.
   AlignmentMatrices* dst[kMaxWidth] = {};
   std::array<double*, kMaxWidth> out_fm, out_fgx, out_fgy, out_bm, out_bgx,
       out_bgy;
   for (std::size_t l = 0; l < W; ++l) {
     if (l < active) {
-      dst[l] = consume != nullptr ? &pool_[l] : &mats_[task_ids[l]];
+      dst[l] = sweep == Sweep::kMaterialize ? &mats_[task_ids[l]] : &pool_[l];
       AlignmentMatrices& mats = *dst[l];
       mats.n = lane_n_[l];
       mats.m = lane_m_[l];
       const std::size_t lane_cells = (lane_n_[l] + 1) * (lane_m_[l] + 1);
       for (auto field : {&AlignmentMatrices::fm, &AlignmentMatrices::fgx,
-                         &AlignmentMatrices::fgy, &AlignmentMatrices::bm,
-                         &AlignmentMatrices::bgx, &AlignmentMatrices::bgy}) {
+                         &AlignmentMatrices::fgy}) {
         resize_for_overwrite(mats.*field, lane_cells);
       }
       out_fm[l] = mats.fm.data();
       out_fgx[l] = mats.fgx.data();
       out_fgy[l] = mats.fgy.data();
-      out_bm[l] = mats.bm.data();
-      out_bgx[l] = mats.bgx.data();
-      out_bgy[l] = mats.bgy.data();
+      out_bm[l] = out_bgx[l] = out_bgy[l] = nullptr;
+      if (with_backward) {
+        for (auto field : {&AlignmentMatrices::bm, &AlignmentMatrices::bgx,
+                           &AlignmentMatrices::bgy}) {
+          resize_for_overwrite(mats.*field, lane_cells);
+        }
+        out_bm[l] = mats.bm.data();
+        out_bgx[l] = mats.bgx.data();
+        out_bgy[l] = mats.bgy.data();
+      }
     } else if (uniform) {
       out_fm[l] = out_fgx[l] = out_fgy[l] = trash_.data();
       out_bm[l] = out_bgx[l] = out_bgy[l] = trash_.data();
@@ -550,9 +580,11 @@ void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
   Timer forward_timer;
   forward(constants, state);
   timings_.forward_seconds += forward_timer.seconds();
-  Timer backward_timer;
-  backward(constants, state);
-  timings_.backward_seconds += backward_timer.seconds();
+  if (with_backward) {
+    Timer backward_timer;
+    backward(constants, state);
+    timings_.backward_seconds += backward_timer.seconds();
+  }
 
   for (std::size_t l = 0; l < active; ++l) {
     const std::size_t t = task_ids[l];
@@ -561,7 +593,7 @@ void BatchedForward::run_pack_impl(std::span<const std::size_t> task_ids,
     outcomes_[t] = BatchOutcome{tasks_[t].tag, log_likelihood[l], ok[l] != 0};
     const std::size_t lane_cells = (lane_n_[l] + 1) * (lane_m_[l] + 1);
     timings_.cells += lane_cells;
-    if (ok[l] == 0) {
+    if (ok[l] == 0 && with_backward) {
       // A failed scalar align never runs the backward sweep, leaving those
       // matrices zeroed; discard what the lane computed to match.
       mats.bm.assign(lane_cells, 0.0);

@@ -43,6 +43,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -110,17 +111,24 @@ struct EngineOptions {
 
 /// Wall-clock accounting for one batch of kernel sweeps.  Feeds MapStats and
 /// from there the alpha-beta cost model and the Figure-4/Table-3 benches.
+///
+/// Every field counts sweeps, not distinct tasks: a task swept once by
+/// run_forward() and again by a run(consume, tasks) survivor sweep adds its
+/// cells and its task count twice.  (MapStats::dp_cells, by contrast,
+/// counts each mapped candidate once.)
 struct KernelTimings {
   /// Time inside the forward sweeps, including streaming finished rows into
   /// the per-task result matrices (the copy-out is fused into the sweep).
   double forward_seconds = 0.0;
   double backward_seconds = 0.0;  ///< likewise for the backward sweeps
-  std::uint64_t cells = 0;        ///< useful DP cells, (n+1)*(m+1) per task
+  /// Useful DP cells, (n+1)*(m+1) per swept task.  A forward-only sweep
+  /// counts its cells once, like a forward+backward one.
+  std::uint64_t cells = 0;
   /// DP cells swept including padding: width * (N+1) * (M+1) per pack.
   /// cells / swept_cells is the lane-occupancy the scheduler maximizes;
   /// cells / seconds is the GCUPS number reported to obs and the benches.
   std::uint64_t swept_cells = 0;
-  std::uint64_t tasks = 0;  ///< alignment problems processed
+  std::uint64_t tasks = 0;  ///< tasks swept (a re-swept task counts again)
 
   KernelTimings& operator+=(const KernelTimings& other) {
     forward_seconds += other.forward_seconds;
@@ -150,6 +158,15 @@ struct BatchOutcome {
 ///   batch.add(pwm_b, window_b, tag_b);
 ///   batch.run();
 ///   batch.outcome(0), batch.matrices(0), ...
+///
+/// Decide-then-condense (the mapper's path): run_forward() fills every
+/// outcome(task) from the forward sweep alone; the caller decides which
+/// tasks it still needs matrices for, and run(consume, tasks) sweeps only
+/// those, forward and backward, draining each through `consume`:
+///   batch.run_forward();
+///   std::vector<std::size_t> keep = ...;  // chosen from the outcomes
+///   batch.run(consume, keep);
+/// Timings accumulate over both calls.
 ///
 /// Reuse contract: the engine owns per-task AlignmentMatrices and all SoA
 /// scratch, and retains their capacity across clear()/configure() cycles —
@@ -215,6 +232,21 @@ class BatchedForward {
   /// add()/run() must not be called from inside `consume`.
   void run(const TaskConsumer& consume);
 
+  /// run(consume) over the subset `tasks` (ids from add(), each at most
+  /// once) of the pending tasks.  Only those are swept and drained; every
+  /// other task keeps the outcome it already had.  Every lane is
+  /// bit-identical whatever pack it lands in, so a task's outcome and
+  /// matrices match a full run's.
+  void run(const TaskConsumer& consume, std::span<const std::size_t> tasks);
+
+  /// Forward sweep only, over every pending task: fills outcome(task) —
+  /// the log-likelihood and ok verdict, bit-identical to run()'s — with no
+  /// backward sweep and no per-task matrices (the forward rows stream
+  /// through the recycled pool).  matrices() is not valid afterwards.
+  /// This is all a mapping decision needs: posterior weights depend only
+  /// on the likelihoods (docs/KERNELS.md §5).
+  void run_forward();
+
   std::size_t size() const { return tasks_.size(); }
 
   /// Valid after run(), indexed by task id.
@@ -271,12 +303,19 @@ class BatchedForward {
     }
   }
 
-  void run_impl(const TaskConsumer* consume);
+  /// How a run treats each pack: materialize every task's matrices
+  /// (run()), drain them through a consumer (run(consume)), or sweep
+  /// forward only into the pool (run_forward()).
+  enum class Sweep : std::uint8_t { kMaterialize, kDrain, kForwardOnly };
+
+  /// Sweeps `subset`, or every pending task when it is absent.
+  void run_impl(Sweep sweep, const TaskConsumer* consume,
+                std::optional<std::span<const std::size_t>> subset = {});
   void run_pack(std::span<const std::size_t> task_ids, std::size_t n,
-                std::size_t m, const TaskConsumer* consume);
+                std::size_t m, Sweep sweep, const TaskConsumer* consume);
   template <typename T>
   void run_pack_impl(std::span<const std::size_t> task_ids, std::size_t n,
-                     std::size_t m, const TaskConsumer* consume);
+                     std::size_t m, Sweep sweep, const TaskConsumer* consume);
 
   PhmmParams params_;
   BoundaryMode mode_ = BoundaryMode::kSemiGlobal;
@@ -287,7 +326,8 @@ class BatchedForward {
   std::vector<Task> tasks_;
   std::vector<BatchOutcome> outcomes_;
   std::vector<AlignmentMatrices> mats_;  // materialize-all storage (run())
-  std::vector<AlignmentMatrices> pool_;  // recycled pack slots (run(consume))
+  // Recycled pack slots (run(consume), run_forward()).
+  std::vector<AlignmentMatrices> pool_;
   std::vector<std::size_t> order_;  // task ids sorted by shape
   // Pack currently being drained through a TaskConsumer: task id -> pool
   // slot, consulted by matrices() before mats_.

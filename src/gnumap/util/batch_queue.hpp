@@ -157,6 +157,16 @@ class ReorderBuffer {
   /// Blocks until the item with the next input sequence number arrives,
   /// then returns it.  Returns nullopt once closed with no next item parked.
   std::optional<T> pop_next() {
+    return pop_next([](const T&) {});
+  }
+
+  /// pop_next() that first calls `release(item)` under the buffer's lock,
+  /// before the admission window advances past the item.  Anything the
+  /// caller accounts against that window (reads in flight, say) is thus
+  /// released before any producer can be admitted at the new window edge.
+  /// `release` must not call back into the buffer.
+  template <typename Release>
+  std::optional<T> pop_next(Release&& release) {
     std::unique_lock<std::mutex> lock(mutex_);
     next_ready_.wait(lock, [&] {
       return (!pending_.empty() && pending_.begin()->first == next_seq_) ||
@@ -164,6 +174,7 @@ class ReorderBuffer {
     });
     auto it = pending_.begin();
     if (it == pending_.end() || it->first != next_seq_) return std::nullopt;
+    release(std::as_const(it->second.item));
     T item = std::move(it->second.item);
     weight_pending_ -= it->second.weight;
     pending_.erase(it);

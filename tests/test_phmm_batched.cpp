@@ -8,8 +8,13 @@
 // (belt and braces, in case a future backend ever relaxes the contract)
 // 1e-9-relative agreement of posteriors at every level, in both boundary
 // modes, plus degenerate shapes, workspace reuse, and dispatch resolution.
+// The forward-only entry and subset drains the mapper decides and condenses
+// with are held to run() and to the oracle the same way.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <string>
@@ -364,6 +369,139 @@ TEST(PhmmBatched, DrainModeMatchesOracleBitwise) {
   }
 }
 
+/// A task no alignment path can explain in global mode: an all-zero PWM
+/// has no match emissions, and global paths may not skip read bases at the
+/// window's left edge, so the forward sweep ends with zero mass.
+Problem failing_global_problem(std::size_t read_len, std::size_t window_len) {
+  Rng rng(read_len * 131 + window_len);
+  Problem p;
+  p.window = encode_sequence(random_seq(rng, window_len));
+  p.pwm = Pwm::from_rows(
+      std::vector<std::array<float, 4>>(read_len, {0, 0, 0, 0}));
+  return p;
+}
+
+TEST(PhmmBatched, ForwardOnlyOutcomesMatchFullRunBitwise) {
+  // run_forward() fills outcome(task) from the forward sweep alone; its
+  // log-likelihood bits and ok verdict must equal run()'s for every task,
+  // at every level and both precisions, in uniform packs (identical
+  // shapes, including a partial pack with padding lanes) and masked packs
+  // (binned nearby shapes), with degenerate and failed tasks mixed in.
+  Rng rng(0xF0A4D);
+  std::vector<Problem> uniform;
+  for (int i = 0; i < 19; ++i) uniform.push_back(make_problem(rng, 30, 46));
+  std::vector<Problem> masked;
+  for (int i = 0; i < 21; ++i) {
+    const std::size_t read_len = 30 + rng.next_below(8);
+    const std::size_t window_len = read_len + 10 + rng.next_below(6);
+    masked.push_back(make_problem(rng, read_len, window_len));
+  }
+  for (auto* problems : {&uniform, &masked}) {
+    problems->push_back(Problem{});  // degenerate: empty pwm and window
+    problems->push_back(failing_global_problem(30, 46));
+    problems->push_back(failing_global_problem(33, 47));
+  }
+
+  const PhmmParams params;
+  for (const BoundaryMode mode :
+       {BoundaryMode::kSemiGlobal, BoundaryMode::kGlobal}) {
+    for (const phmm::Precision precision :
+         {phmm::Precision::kDouble, phmm::Precision::kSingle}) {
+      for (const SimdLevel level : levels_to_test()) {
+        for (const auto* problems : {&uniform, &masked}) {
+          SCOPED_TRACE(std::string(phmm::simd_level_name(level)) + "/" +
+                       phmm::precision_name(precision) +
+                       (mode == BoundaryMode::kGlobal ? "/global" : "/semi") +
+                       (problems == &uniform ? "/uniform" : "/masked"));
+          const phmm::EngineOptions options{.simd = level,
+                                            .precision = precision};
+          BatchedForward full(params, mode, options);
+          BatchedForward forward(params, mode, options);
+          for (std::size_t t = 0; t < problems->size(); ++t) {
+            full.add((*problems)[t].pwm, (*problems)[t].window, t);
+            forward.add((*problems)[t].pwm, (*problems)[t].window, t);
+          }
+          full.run();
+          forward.run_forward();
+          std::size_t failed = 0;
+          for (std::size_t t = 0; t < problems->size(); ++t) {
+            const auto& want = full.outcome(t);
+            const auto& got = forward.outcome(t);
+            EXPECT_EQ(got.tag, t);
+            EXPECT_EQ(got.ok, want.ok) << "task " << t;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(got.log_likelihood),
+                      std::bit_cast<std::uint64_t>(want.log_likelihood))
+                << "task " << t;
+            failed += want.ok ? 0 : 1;
+          }
+          // The degenerate task always fails; the zero-PWM tasks fail in
+          // global mode.  Everything else aligns.
+          EXPECT_EQ(failed, mode == BoundaryMode::kGlobal ? 3u : 1u);
+          // Same packs, same cell accounting, no backward sweep.
+          EXPECT_EQ(forward.timings().tasks, full.timings().tasks);
+          EXPECT_EQ(forward.timings().cells, full.timings().cells);
+          EXPECT_EQ(forward.timings().swept_cells, full.timings().swept_cells);
+          EXPECT_EQ(forward.timings().backward_seconds, 0.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(PhmmBatched, SubsetDrainAfterForwardOnlyMatchesOracle) {
+  // The mapper's decide-then-condense sequence: run_forward() over every
+  // task, then run(consume, tasks) over a subset.  Exactly the subset
+  // drains, each drained task bit-identical to the oracle although it now
+  // shares packs with different neighbours; the other tasks keep their
+  // forward-pass outcomes, and timings cover both sweeps.
+  auto problems = random_problems(0x5B5E7, 40);
+  problems.push_back(Problem{});
+  const PhmmParams params;
+  const PairHmm oracle(params, BoundaryMode::kSemiGlobal);
+  for (const SimdLevel level : levels_to_test()) {
+    SCOPED_TRACE(phmm::simd_level_name(level));
+    BatchedForward batch(params, BoundaryMode::kSemiGlobal, level);
+    for (std::size_t t = 0; t < problems.size(); ++t) {
+      batch.add(problems[t].pwm, problems[t].window, t);
+    }
+    batch.run_forward();
+    std::vector<double> forward_ll(problems.size());
+    std::vector<std::size_t> subset;
+    for (std::size_t t = 0; t < problems.size(); ++t) {
+      forward_ll[t] = batch.outcome(t).log_likelihood;
+      if (t % 3 == 1 || t + 1 == problems.size()) subset.push_back(t);
+    }
+    const auto after_forward = batch.timings();
+
+    std::vector<unsigned char> seen(problems.size(), 0);
+    AlignmentMatrices expected;
+    batch.run(
+        [&](std::size_t t) {
+          ASSERT_LT(t, problems.size());
+          EXPECT_EQ(seen[t], 0) << "task " << t << " drained twice";
+          seen[t] = 1;
+          const bool expect_ok =
+              oracle.align(problems[t].pwm, problems[t].window, expected);
+          ASSERT_EQ(batch.outcome(t).ok, expect_ok) << "task " << t;
+          if (!expect_ok) return;
+          EXPECT_EQ(batch.outcome(t).log_likelihood, expected.log_likelihood);
+          expect_matrices_bitwise_equal(expected, batch.matrices(t));
+        },
+        subset);
+    for (std::size_t t = 0; t < problems.size(); ++t) {
+      const bool in_subset =
+          std::find(subset.begin(), subset.end(), t) != subset.end();
+      EXPECT_EQ(seen[t], in_subset ? 1 : 0) << "task " << t;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(batch.outcome(t).log_likelihood),
+                std::bit_cast<std::uint64_t>(forward_ll[t]))
+          << "task " << t;
+    }
+    EXPECT_EQ(batch.timings().tasks, problems.size() + subset.size());
+    EXPECT_GE(batch.timings().forward_seconds, after_forward.forward_seconds);
+    EXPECT_EQ(after_forward.backward_seconds, 0.0);
+  }
+}
+
 TEST(PhmmBatched, TimingsAccumulate) {
   const PhmmParams params;
   BatchedForward batch(params, BoundaryMode::kSemiGlobal, SimdLevel::kAuto);
@@ -406,10 +544,67 @@ TEST(PhmmBatched, SimdLevelResolution) {
   EXPECT_EQ(phmm::resolve_simd_level(SimdLevel::kAuto), best);
 }
 
+/// Runs score_reads over `reads` and checks it bit for bit against the
+/// scalar double oracle (score_reads_raw + the shared finalize epilogue):
+/// sites, weights, contributions, and statistics.  Returns the batched
+/// call's stats; `ws` is left as the batched call left it.
+MapStats expect_score_reads_match_oracle(const PipelineConfig& config,
+                                         const ReadMapper& mapper,
+                                         const std::vector<Read>& reads,
+                                         MapperWorkspace& ws,
+                                         GenomePos diagonal_begin = 0,
+                                         GenomePos diagonal_end = 0) {
+  MapperWorkspace serial_ws;
+  MapStats serial_stats, batched_stats;
+  std::vector<std::vector<ScoredSite>> serial;
+  serial.reserve(reads.size());
+  for (const Read& read : reads) {
+    auto raw = mapper.score_reads_raw({&read, 1}, serial_ws, serial_stats,
+                                      diagonal_begin, diagonal_end);
+    std::vector<ScoredSite> sites;
+    for (auto& candidate : raw.front()) {
+      if (candidate.ok) sites.push_back(std::move(candidate.site));
+    }
+    finalize_scored_sites(config, read, sites, serial_stats);
+    serial.push_back(std::move(sites));
+  }
+  const auto batched = mapper.score_reads(reads, ws, batched_stats,
+                                          diagonal_begin, diagonal_end);
+
+  EXPECT_EQ(batched.size(), serial.size());
+  for (std::size_t r = 0; r < std::min(reads.size(), batched.size()); ++r) {
+    EXPECT_EQ(batched[r].size(), serial[r].size()) << "read " << r;
+    if (batched[r].size() != serial[r].size()) continue;
+    for (std::size_t s = 0; s < serial[r].size(); ++s) {
+      const ScoredSite& a = serial[r][s];
+      const ScoredSite& b = batched[r][s];
+      EXPECT_EQ(b.window_begin, a.window_begin);
+      EXPECT_EQ(b.reverse, a.reverse);
+      EXPECT_EQ(b.log_likelihood, a.log_likelihood) << "read " << r;
+      EXPECT_EQ(b.weight, a.weight) << "read " << r;
+      EXPECT_EQ(b.contributions.tracks, a.contributions.tracks)
+          << "read " << r << " site " << s;
+      EXPECT_EQ(b.contributions.column_mass, a.contributions.column_mass)
+          << "read " << r << " site " << s;
+    }
+  }
+  EXPECT_EQ(batched_stats.reads_total, serial_stats.reads_total);
+  EXPECT_EQ(batched_stats.reads_mapped, serial_stats.reads_mapped);
+  EXPECT_EQ(batched_stats.candidates_evaluated,
+            serial_stats.candidates_evaluated);
+  EXPECT_EQ(batched_stats.sites_accumulated, serial_stats.sites_accumulated);
+  EXPECT_EQ(batched_stats.dp_cells, serial_stats.dp_cells);
+  EXPECT_EQ(batched_stats.fp32_recomputed_reads,
+            serial_stats.fp32_recomputed_reads);
+  // Only the batched path records kernel time.
+  EXPECT_GE(batched_stats.phmm_forward_seconds, 0.0);
+  EXPECT_EQ(serial_stats.phmm_forward_seconds, 0.0);
+  return batched_stats;
+}
+
 TEST(PhmmBatched, ScoreReadsMatchesScoreReadExactly) {
   // End-to-end: the mapper's batched entry point must reproduce the scalar
-  // double oracle (score_reads_raw + the shared finalize epilogue) bit for
-  // bit — sites, weights, contributions, and statistics.
+  // double oracle bit for bit.
   Rng rng(20260805);
   const std::string genome_seq = random_seq(rng, 4000);
   Genome genome;
@@ -428,50 +623,62 @@ TEST(PhmmBatched, ScoreReadsMatchesScoreReadExactly) {
     }
     reads.push_back(make_read(seq));
   }
+  MapperWorkspace ws;
+  expect_score_reads_match_oracle(config, mapper, reads, ws);
+}
 
-  MapperWorkspace serial_ws, batched_ws;
-  MapStats serial_stats, batched_stats;
-  std::vector<std::vector<ScoredSite>> serial;
-  serial.reserve(reads.size());
-  for (const Read& read : reads) {
-    auto raw = mapper.score_reads_raw({&read, 1}, serial_ws, serial_stats);
-    std::vector<ScoredSite> sites;
-    for (auto& candidate : raw.front()) {
-      if (candidate.ok) sites.push_back(std::move(candidate.site));
+TEST(PhmmBatched, ScoreReadsPrunesRepeatsBeforeTheBackwardSweep) {
+  // A genome of diverged copies of one repeat unit: every read seeds a
+  // candidate in most copies, and the posterior prune drops nearly all of
+  // them.  score_reads must still match the scalar oracle bit for bit —
+  // over the whole genome and over a diagonal range, as genome-partition
+  // ranks score — while running the backward sweep only for the sites
+  // that survive the prune.
+  Rng rng(0x5EED4E9);
+  const std::string unit = random_seq(rng, 400);
+  std::string genome_seq = random_seq(rng, 200);
+  for (int copy = 0; copy < 10; ++copy) {
+    std::string diverged = unit;
+    for (char& ch : diverged) {
+      if (rng.bernoulli(0.07)) ch = "ACGT"[rng.next_below(4)];
     }
-    finalize_scored_sites(config, read, sites, serial_stats);
-    serial.push_back(std::move(sites));
+    genome_seq += diverged + random_seq(rng, 60);
   }
-  const auto batched =
-      mapper.score_reads(reads, batched_ws, batched_stats);
+  Genome genome;
+  genome.add_contig("chr1", genome_seq);
+  PipelineConfig config;
+  config.phmm_precision = phmm::Precision::kDouble;
+  const HashIndex index(genome, config.index);
+  const ReadMapper mapper(genome, index, config);
 
-  ASSERT_EQ(batched.size(), serial.size());
-  for (std::size_t r = 0; r < reads.size(); ++r) {
-    ASSERT_EQ(batched[r].size(), serial[r].size()) << "read " << r;
-    for (std::size_t s = 0; s < serial[r].size(); ++s) {
-      const ScoredSite& a = serial[r][s];
-      const ScoredSite& b = batched[r][s];
-      EXPECT_EQ(b.window_begin, a.window_begin);
-      EXPECT_EQ(b.reverse, a.reverse);
-      EXPECT_EQ(b.log_likelihood, a.log_likelihood) << "read " << r;
-      EXPECT_EQ(b.weight, a.weight) << "read " << r;
-      ASSERT_EQ(b.contributions.tracks.size(), a.contributions.tracks.size());
-      for (std::size_t j = 0; j < a.contributions.tracks.size(); ++j) {
-        for (std::size_t k = 0; k < a.contributions.tracks[j].size(); ++k) {
-          EXPECT_EQ(b.contributions.tracks[j][k], a.contributions.tracks[j][k]);
-        }
-      }
+  std::vector<Read> reads;
+  for (int i = 0; i < 64; ++i) {
+    const std::size_t len = 60 + rng.next_below(30);
+    const std::size_t pos = 200 + rng.next_below(genome_seq.size() - 200 - len);
+    std::string seq = genome_seq.substr(pos, len);
+    for (char& ch : seq) {
+      if (rng.bernoulli(0.01)) ch = "ACGT"[rng.next_below(4)];
     }
+    reads.push_back(make_read(seq));
   }
-  EXPECT_EQ(batched_stats.reads_total, serial_stats.reads_total);
-  EXPECT_EQ(batched_stats.reads_mapped, serial_stats.reads_mapped);
-  EXPECT_EQ(batched_stats.candidates_evaluated,
-            serial_stats.candidates_evaluated);
-  EXPECT_EQ(batched_stats.sites_accumulated, serial_stats.sites_accumulated);
-  EXPECT_EQ(batched_stats.dp_cells, serial_stats.dp_cells);
-  // Only the batched path records kernel time.
-  EXPECT_GE(batched_stats.phmm_forward_seconds, 0.0);
-  EXPECT_EQ(serial_stats.phmm_forward_seconds, 0.0);
+
+  const auto quarter = static_cast<GenomePos>(genome_seq.size() / 4);
+  const std::pair<GenomePos, GenomePos> ranges[] = {{0, 0},
+                                                    {quarter, 3 * quarter}};
+  for (const auto& [begin, end] : ranges) {
+    SCOPED_TRACE("diagonals [" + std::to_string(begin) + ", " +
+                 std::to_string(end) + ")");
+    MapperWorkspace ws;
+    const MapStats stats =
+        expect_score_reads_match_oracle(config, mapper, reads, ws, begin, end);
+    // The planted repeats make the prune drop most candidates...
+    ASSERT_GT(stats.sites_accumulated, 0u);
+    EXPECT_LT(stats.sites_accumulated * 2, stats.candidates_evaluated);
+    // ...and the engine swept every candidate forward once, then only the
+    // surviving sites again; the backward sweep ran for those alone.
+    EXPECT_EQ(ws.batch.timings().tasks,
+              stats.candidates_evaluated + stats.sites_accumulated);
+  }
 }
 
 }  // namespace
