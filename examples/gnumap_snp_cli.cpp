@@ -34,6 +34,7 @@
 #include <string>
 
 #include "gnumap/core/pipeline.hpp"
+#include "gnumap/core/snp_caller.hpp"
 #include "gnumap/io/fasta.hpp"
 #include "gnumap/io/gzip_stream.hpp"
 #include "gnumap/io/quality.hpp"
@@ -132,7 +133,8 @@ int main(int argc, char** argv) {
         config.phmm_bin_slack =
             static_cast<std::size_t>(parse_u64(need_value(i)));
       } else if (arg == "--min-coverage") {
-        config.min_coverage = parse_double(need_value(i));
+        config.min_coverage =
+            checked_min_coverage(parse_double(need_value(i)));
       } else if (arg == "--phred64") {
         phred_offset = kPhred64;
       } else if (arg == "--quiet") {

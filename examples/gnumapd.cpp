@@ -54,6 +54,7 @@
 
 #include "gnumap/serve/fault_shim.hpp"
 
+#include "gnumap/core/snp_caller.hpp"
 #include "gnumap/fleet/index_file.hpp"
 #include "gnumap/fleet/registry.hpp"
 #include "gnumap/fleet/router.hpp"
@@ -289,7 +290,8 @@ int main(int argc, char** argv) {
       } else if (arg == "--output-buffer-bytes") {
         config.output_buffer_bytes = parse_u64(need_value(i));
       } else if (arg == "--min-coverage") {
-        config.min_coverage = parse_double(need_value(i));
+        config.min_coverage =
+            checked_min_coverage(parse_double(need_value(i)));
       } else if (arg == "--phmm-fp32") {
         // Single-precision PHMM lanes; borderline mapping decisions are
         // recomputed in double so served calls match the default path.

@@ -22,6 +22,13 @@ Guards two throughput surfaces in CI:
   fleet index file exists to honour — a cold gnumapd restart costing a
   rebuild is a regression even when every throughput row is green.
 
+The committed baseline must be a trustworthy reference: its host record
+(``context.gnumap_build_type`` and ``context.load_avg`` in BENCH_phmm.json,
+``host.build_type`` and ``host.load_1m`` in BENCH_pipeline.json) must say
+it was a Release build recorded at a 1-minute load of at most 0.5 per CPU.
+A baseline that fails this, or carries no such record, is refused with
+exit 2 before any row is compared.  The fresh run is not checked.
+
 Only rows present in BOTH files are compared (a renamed or added benchmark
 is reported, not fatal — the committed baseline trails new code by design).
 Rows without the compared counter are skipped.  Context drift (build type,
@@ -81,6 +88,35 @@ def load_pipeline_rows(path):
                for k in ("genome_bp", "threads", "stream_batch",
                          "queue_depth")}
     return context, rows
+
+
+MAX_BASELINE_LOAD_PER_CPU = 0.5
+
+
+def baseline_problems(path, pipeline):
+    """Reasons the baseline's host record disqualifies it (empty if none)."""
+    doc = load_json(path)
+    if pipeline:
+        host = doc.get("host") or {}
+        build_type, load_1m, cpus = (host.get("build_type"),
+                                     host.get("load_1m"), host.get("nproc"))
+    else:
+        context = doc.get("context", {})
+        loads = context.get("load_avg")
+        build_type = context.get("gnumap_build_type")
+        load_1m = loads[0] if isinstance(loads, list) and loads else None
+        cpus = context.get("num_cpus")
+    problems = []
+    if build_type != "Release":
+        problems.append(f"build type {build_type!r}, not 'Release'")
+    if not isinstance(load_1m, (int, float)) or not isinstance(
+            cpus, int) or cpus <= 0:
+        problems.append("no 1-minute load / CPU count recorded")
+    elif load_1m / cpus > MAX_BASELINE_LOAD_PER_CPU:
+        problems.append(f"1-minute load {load_1m:.2f} on {cpus} CPUs is "
+                        f"{load_1m / cpus:.2f} per CPU, above "
+                        f"{MAX_BASELINE_LOAD_PER_CPU}")
+    return problems
 
 
 def check_startup(path, factor):
@@ -147,6 +183,12 @@ def main():
     if args.baseline is None:
         name = "BENCH_pipeline.json" if args.pipeline else "BENCH_phmm.json"
         args.baseline = os.path.join(repo, name)
+    problems = baseline_problems(args.baseline, args.pipeline)
+    if problems:
+        print(f"bench_compare: refusing baseline {args.baseline}: "
+              f"{'; '.join(problems)}; re-record it in Release on a quiet "
+              f"host", file=sys.stderr)
+        return 2
     load_rows = load_pipeline_rows if args.pipeline else load_phmm_rows
     unit = "reads/s" if args.pipeline else "GCUPS"
 

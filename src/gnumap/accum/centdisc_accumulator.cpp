@@ -6,15 +6,25 @@
 
 namespace gnumap {
 
+namespace {
+
+float row_total(const std::uint8_t* row) {
+  float total;
+  std::memcpy(&total, row, sizeof total);
+  return total;
+}
+
+std::uint8_t& row_code(std::uint8_t* row) { return row[sizeof(float)]; }
+std::uint8_t row_code(const std::uint8_t* row) { return row[sizeof(float)]; }
+
+}  // namespace
+
 CentDiscAccumulator::CentDiscAccumulator(std::uint64_t begin,
                                          std::uint64_t size,
                                          CentDiscQuantize mode)
-    : codebook_(CentroidCodebook::instance()),
-      mode_(mode),
-      begin_(begin),
-      size_(size),
-      totals_(size, 0.0f),
-      codes_(size, CentroidCodebook::kEmptyCode) {}
+    : Accumulator(begin, size, kRowBytes),
+      codebook_(CentroidCodebook::instance()),
+      mode_(mode) {}
 
 std::uint8_t CentDiscAccumulator::approximate_code(
     const CentroidCodebook& codebook, const TrackVector& values) {
@@ -51,10 +61,10 @@ std::uint8_t CentDiscAccumulator::approximate_code(
 }
 
 void CentDiscAccumulator::add(std::uint64_t pos, const TrackVector& delta) {
-  if (pos < begin_ || pos >= begin_ + size_) return;
-  const std::uint64_t slot = pos - begin_;
-  const float old_total = totals_[slot];
-  const TrackVector& centroid = codebook_.centroid(codes_[slot]);
+  std::uint8_t* slot = row(pos);
+  if (slot == nullptr) return;
+  const float old_total = row_total(slot);
+  const TrackVector& centroid = codebook_.centroid(row_code(slot));
 
   TrackVector real;
   float new_total = 0.0f;
@@ -64,58 +74,40 @@ void CentDiscAccumulator::add(std::uint64_t pos, const TrackVector& delta) {
     new_total += real[ks];
   }
   if (!(new_total > 0.0f)) return;
-  codes_[slot] = mode_ == CentDiscQuantize::kNearest
-                     ? codebook_.quantize(real)
-                     : approximate_code(codebook_, real);
-  totals_[slot] = new_total;
+  row_code(slot) = mode_ == CentDiscQuantize::kNearest
+                       ? codebook_.quantize(real)
+                       : approximate_code(codebook_, real);
+  std::memcpy(slot, &new_total, sizeof new_total);
 }
 
 TrackVector CentDiscAccumulator::counts(std::uint64_t pos) const {
   TrackVector out{};
-  if (pos < begin_ || pos >= begin_ + size_) return out;
-  const std::uint64_t slot = pos - begin_;
-  const TrackVector& centroid = codebook_.centroid(codes_[slot]);
+  const std::uint8_t* slot = find_row(pos);
+  if (slot == nullptr) return out;
+  const float total = row_total(slot);
+  const TrackVector& centroid = codebook_.centroid(row_code(slot));
   for (int k = 0; k < 5; ++k) {
     const auto ks = static_cast<std::size_t>(k);
-    out[ks] = totals_[slot] * centroid[ks];
+    out[ks] = total * centroid[ks];
   }
   return out;
 }
 
 void CentDiscAccumulator::merge(const Accumulator& other) {
-  require(other.kind() == AccumKind::kCentDisc &&
-              other.begin() == begin_ && other.size() == size_,
-          "CentDiscAccumulator::merge: kind/range mismatch");
-  const auto& rhs = static_cast<const CentDiscAccumulator&>(other);
-  for (std::uint64_t slot = 0; slot < size_; ++slot) {
-    // Paper-faithful reduction: composition via the equal-weight table,
-    // totals added exactly.
-    codes_[slot] = codebook_.merge(codes_[slot], rhs.codes_[slot]);
-    totals_[slot] += rhs.totals_[slot];
-  }
+  // Paper-faithful reduction: composition via the equal-weight table,
+  // totals added exactly.
+  merge_rows(other, [&](std::uint8_t* dst, const std::uint8_t* src) {
+    row_code(dst) = codebook_.merge(row_code(dst), row_code(src));
+    const float total = row_total(dst) + row_total(src);
+    std::memcpy(dst, &total, sizeof total);
+  });
 }
 
 std::uint8_t CentDiscAccumulator::code_at(std::uint64_t pos) const {
-  require(pos >= begin_ && pos < begin_ + size_,
+  require(pos >= begin() && pos < begin() + size(),
           "CentDiscAccumulator::code_at: position out of range");
-  return codes_[pos - begin_];
-}
-
-std::vector<std::uint8_t> CentDiscAccumulator::to_bytes() const {
-  std::vector<std::uint8_t> bytes(totals_.size() * sizeof(float) +
-                                  codes_.size());
-  std::memcpy(bytes.data(), totals_.data(), totals_.size() * sizeof(float));
-  std::memcpy(bytes.data() + totals_.size() * sizeof(float), codes_.data(),
-              codes_.size());
-  return bytes;
-}
-
-void CentDiscAccumulator::from_bytes(const std::vector<std::uint8_t>& bytes) {
-  require(bytes.size() == totals_.size() * sizeof(float) + codes_.size(),
-          "CentDiscAccumulator::from_bytes: size mismatch");
-  std::memcpy(totals_.data(), bytes.data(), totals_.size() * sizeof(float));
-  std::memcpy(codes_.data(), bytes.data() + totals_.size() * sizeof(float),
-              codes_.size());
+  const std::uint8_t* slot = find_row(pos);
+  return slot != nullptr ? row_code(slot) : CentroidCodebook::kEmptyCode;
 }
 
 }  // namespace gnumap

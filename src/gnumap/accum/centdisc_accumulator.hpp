@@ -37,17 +37,9 @@ class CentDiscAccumulator final : public Accumulator {
       std::uint64_t begin, std::uint64_t size,
       CentDiscQuantize mode = CentDiscQuantize::kApproximate);
 
-  std::uint64_t size() const override { return size_; }
-  std::uint64_t begin() const override { return begin_; }
   void add(std::uint64_t pos, const TrackVector& delta) override;
   TrackVector counts(std::uint64_t pos) const override;
   void merge(const Accumulator& other) override;
-  std::vector<std::uint8_t> to_bytes() const override;
-  void from_bytes(const std::vector<std::uint8_t>& bytes) override;
-  double bytes_per_position() const override { return sizeof(float) + 1.0; }
-  std::uint64_t memory_bytes() const override {
-    return totals_.size() * sizeof(float) + codes_.size();
-  }
   AccumKind kind() const override { return AccumKind::kCentDisc; }
 
   /// The centroid code currently stored at a position (tests/diagnostics).
@@ -60,12 +52,13 @@ class CentDiscAccumulator final : public Accumulator {
                                        const TrackVector& values);
 
  private:
+  /// A row is the float total followed by the centroid code; the zeroed
+  /// row is the empty state because kEmptyCode is 0.
+  static constexpr std::size_t kRowBytes = sizeof(float) + 1;
+  static_assert(CentroidCodebook::kEmptyCode == 0);
+
   const CentroidCodebook& codebook_;
   CentDiscQuantize mode_;
-  std::uint64_t begin_;
-  std::uint64_t size_;
-  std::vector<float> totals_;
-  std::vector<std::uint8_t> codes_;
 };
 
 }  // namespace gnumap

@@ -3,13 +3,45 @@
 #include <algorithm>
 #include <cstring>
 
-#include "gnumap/util/error.hpp"
-
 namespace gnumap {
 
-CharDiscAccumulator::CharDiscAccumulator(std::uint64_t begin,
-                                         std::uint64_t size)
-    : begin_(begin), size_(size), totals_(size, 0.0f), shares_(size * 5, 0) {}
+namespace {
+
+float row_total(const std::uint8_t* row) {
+  float total;
+  std::memcpy(&total, row, sizeof total);
+  return total;
+}
+
+TrackVector decode_row(const std::uint8_t* row) {
+  const float total = row_total(row);
+  const std::uint8_t* share = row + sizeof(float);
+  TrackVector out;
+  for (int k = 0; k < 5; ++k) {
+    out[static_cast<std::size_t>(k)] =
+        total * static_cast<float>(share[k]) / 255.0f;
+  }
+  return out;
+}
+
+// Back to real space: share/255 * total, add the delta, requantize against
+// the new total.
+void add_to_row(std::uint8_t* row, const TrackVector& delta) {
+  const float old_total = row_total(row);
+  std::uint8_t* share = row + sizeof(float);
+  TrackVector real;
+  float new_total = 0.0f;
+  for (int k = 0; k < 5; ++k) {
+    const auto ks = static_cast<std::size_t>(k);
+    real[ks] = old_total * static_cast<float>(share[k]) / 255.0f + delta[ks];
+    new_total += real[ks];
+  }
+  const auto quantized = CharDiscAccumulator::quantize(real, new_total);
+  std::memcpy(share, quantized.data(), quantized.size());
+  std::memcpy(row, &new_total, sizeof new_total);
+}
+
+}  // namespace
 
 std::array<std::uint8_t, 5> CharDiscAccumulator::quantize(
     const TrackVector& values, float total) {
@@ -46,69 +78,18 @@ std::array<std::uint8_t, 5> CharDiscAccumulator::quantize(
 }
 
 void CharDiscAccumulator::add(std::uint64_t pos, const TrackVector& delta) {
-  if (pos < begin_ || pos >= begin_ + size_) return;
-  const std::uint64_t slot = pos - begin_;
-  const float old_total = totals_[slot];
-  std::uint8_t* share = &shares_[slot * 5];
-
-  // Back to real space: share/255 * total, then add the delta.
-  TrackVector real;
-  float new_total = 0.0f;
-  for (int k = 0; k < 5; ++k) {
-    const auto ks = static_cast<std::size_t>(k);
-    real[ks] = old_total * static_cast<float>(share[k]) / 255.0f + delta[ks];
-    new_total += real[ks];
-  }
-  const auto quantized = quantize(real, new_total);
-  for (int k = 0; k < 5; ++k) share[k] = quantized[static_cast<std::size_t>(k)];
-  totals_[slot] = new_total;
+  if (std::uint8_t* slot = row(pos)) add_to_row(slot, delta);
 }
 
 TrackVector CharDiscAccumulator::counts(std::uint64_t pos) const {
-  TrackVector out{};
-  if (pos < begin_ || pos >= begin_ + size_) return out;
-  const std::uint64_t slot = pos - begin_;
-  const float total = totals_[slot];
-  const std::uint8_t* share = &shares_[slot * 5];
-  for (int k = 0; k < 5; ++k) {
-    out[static_cast<std::size_t>(k)] =
-        total * static_cast<float>(share[k]) / 255.0f;
-  }
-  return out;
+  const std::uint8_t* slot = find_row(pos);
+  return slot != nullptr ? decode_row(slot) : TrackVector{};
 }
 
 void CharDiscAccumulator::merge(const Accumulator& other) {
-  require(other.kind() == AccumKind::kCharDisc &&
-              other.begin() == begin_ && other.size() == size_,
-          "CharDiscAccumulator::merge: kind/range mismatch");
-  const auto& rhs = static_cast<const CharDiscAccumulator&>(other);
-  for (std::uint64_t slot = 0; slot < size_; ++slot) {
-    if (!(rhs.totals_[slot] > 0.0f)) continue;
-    const std::uint8_t* share = &rhs.shares_[slot * 5];
-    TrackVector delta;
-    for (int k = 0; k < 5; ++k) {
-      delta[static_cast<std::size_t>(k)] =
-          rhs.totals_[slot] * static_cast<float>(share[k]) / 255.0f;
-    }
-    add(begin_ + slot, delta);
-  }
-}
-
-std::vector<std::uint8_t> CharDiscAccumulator::to_bytes() const {
-  std::vector<std::uint8_t> bytes(totals_.size() * sizeof(float) +
-                                  shares_.size());
-  std::memcpy(bytes.data(), totals_.data(), totals_.size() * sizeof(float));
-  std::memcpy(bytes.data() + totals_.size() * sizeof(float), shares_.data(),
-              shares_.size());
-  return bytes;
-}
-
-void CharDiscAccumulator::from_bytes(const std::vector<std::uint8_t>& bytes) {
-  require(bytes.size() == totals_.size() * sizeof(float) + shares_.size(),
-          "CharDiscAccumulator::from_bytes: size mismatch");
-  std::memcpy(totals_.data(), bytes.data(), totals_.size() * sizeof(float));
-  std::memcpy(shares_.data(), bytes.data() + totals_.size() * sizeof(float),
-              shares_.size());
+  merge_rows(other, [](std::uint8_t* dst, const std::uint8_t* src) {
+    if (row_total(src) > 0.0f) add_to_row(dst, decode_row(src));
+  });
 }
 
 }  // namespace gnumap

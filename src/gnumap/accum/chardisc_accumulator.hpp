@@ -22,21 +22,12 @@ namespace gnumap {
 
 class CharDiscAccumulator final : public Accumulator {
  public:
-  CharDiscAccumulator(std::uint64_t begin, std::uint64_t size);
+  CharDiscAccumulator(std::uint64_t begin, std::uint64_t size)
+      : Accumulator(begin, size, kRowBytes) {}
 
-  std::uint64_t size() const override { return size_; }
-  std::uint64_t begin() const override { return begin_; }
   void add(std::uint64_t pos, const TrackVector& delta) override;
   TrackVector counts(std::uint64_t pos) const override;
   void merge(const Accumulator& other) override;
-  std::vector<std::uint8_t> to_bytes() const override;
-  void from_bytes(const std::vector<std::uint8_t>& bytes) override;
-  double bytes_per_position() const override {
-    return sizeof(float) + 5.0;  // total + five share bytes
-  }
-  std::uint64_t memory_bytes() const override {
-    return totals_.size() * sizeof(float) + shares_.size();
-  }
   AccumKind kind() const override { return AccumKind::kCharDisc; }
 
   /// Requantizes a real-valued 5-vector into shares of 255 using
@@ -45,10 +36,8 @@ class CharDiscAccumulator final : public Accumulator {
                                               float total);
 
  private:
-  std::uint64_t begin_;
-  std::uint64_t size_;
-  std::vector<float> totals_;         // size_
-  std::vector<std::uint8_t> shares_;  // 5 * size_
+  /// A row is the float total followed by the five share bytes.
+  static constexpr std::size_t kRowBytes = sizeof(float) + 5;
 };
 
 }  // namespace gnumap

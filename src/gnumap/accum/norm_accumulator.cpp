@@ -2,45 +2,38 @@
 
 #include <cstring>
 
-#include "gnumap/util/error.hpp"
-
 namespace gnumap {
 
-NormAccumulator::NormAccumulator(std::uint64_t begin, std::uint64_t size)
-    : begin_(begin), size_(size), data_(size * 5, 0.0f) {}
+namespace {
+
+// A row is the five track floats, A C G T gap.
+void add_to_row(std::uint8_t* row, const TrackVector& delta) {
+  TrackVector slot;
+  std::memcpy(slot.data(), row, sizeof slot);
+  for (std::size_t k = 0; k < slot.size(); ++k) slot[k] += delta[k];
+  std::memcpy(row, slot.data(), sizeof slot);
+}
+
+}  // namespace
 
 void NormAccumulator::add(std::uint64_t pos, const TrackVector& delta) {
-  if (pos < begin_ || pos >= begin_ + size_) return;
-  float* slot = &data_[(pos - begin_) * 5];
-  for (int k = 0; k < 5; ++k) slot[k] += delta[static_cast<std::size_t>(k)];
+  if (std::uint8_t* slot = row(pos)) add_to_row(slot, delta);
 }
 
 TrackVector NormAccumulator::counts(std::uint64_t pos) const {
   TrackVector out{};
-  if (pos < begin_ || pos >= begin_ + size_) return out;
-  const float* slot = &data_[(pos - begin_) * 5];
-  for (int k = 0; k < 5; ++k) out[static_cast<std::size_t>(k)] = slot[k];
+  if (const std::uint8_t* slot = find_row(pos)) {
+    std::memcpy(out.data(), slot, sizeof out);
+  }
   return out;
 }
 
 void NormAccumulator::merge(const Accumulator& other) {
-  require(other.kind() == AccumKind::kNorm &&
-              other.begin() == begin_ && other.size() == size_,
-          "NormAccumulator::merge: kind/range mismatch");
-  const auto& rhs = static_cast<const NormAccumulator&>(other);
-  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += rhs.data_[i];
-}
-
-std::vector<std::uint8_t> NormAccumulator::to_bytes() const {
-  std::vector<std::uint8_t> bytes(data_.size() * sizeof(float));
-  std::memcpy(bytes.data(), data_.data(), bytes.size());
-  return bytes;
-}
-
-void NormAccumulator::from_bytes(const std::vector<std::uint8_t>& bytes) {
-  require(bytes.size() == data_.size() * sizeof(float),
-          "NormAccumulator::from_bytes: size mismatch");
-  std::memcpy(data_.data(), bytes.data(), bytes.size());
+  merge_rows(other, [](std::uint8_t* dst, const std::uint8_t* src) {
+    TrackVector rhs;
+    std::memcpy(rhs.data(), src, sizeof rhs);
+    add_to_row(dst, rhs);
+  });
 }
 
 }  // namespace gnumap

@@ -9,25 +9,13 @@ namespace gnumap {
 
 class NormAccumulator final : public Accumulator {
  public:
-  NormAccumulator(std::uint64_t begin, std::uint64_t size);
+  NormAccumulator(std::uint64_t begin, std::uint64_t size)
+      : Accumulator(begin, size, sizeof(TrackVector)) {}
 
-  std::uint64_t size() const override { return size_; }
-  std::uint64_t begin() const override { return begin_; }
   void add(std::uint64_t pos, const TrackVector& delta) override;
   TrackVector counts(std::uint64_t pos) const override;
   void merge(const Accumulator& other) override;
-  std::vector<std::uint8_t> to_bytes() const override;
-  void from_bytes(const std::vector<std::uint8_t>& bytes) override;
-  double bytes_per_position() const override { return 5.0 * sizeof(float); }
-  std::uint64_t memory_bytes() const override {
-    return data_.size() * sizeof(float);
-  }
   AccumKind kind() const override { return AccumKind::kNorm; }
-
- private:
-  std::uint64_t begin_;
-  std::uint64_t size_;
-  std::vector<float> data_;  // 5 * size_, position-major
 };
 
 }  // namespace gnumap

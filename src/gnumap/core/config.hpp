@@ -70,7 +70,9 @@ struct PipelineConfig {
   /// If true, Benjamini-Hochberg at level fdr_q replaces the fixed cutoff.
   bool use_fdr = false;
   double fdr_q = 0.05;
-  /// Minimum accumulated mass n at a position before the LRT is attempted.
+  /// Minimum accumulated mass n at a position before the LRT is attempted
+  /// (a position with n = 0 is never tested); must be >= 0, see
+  /// checked_min_coverage (snp_caller.hpp).
   double min_coverage = 3.0;
 
   /// Worker threads for shared-memory mapping (1 = serial).

@@ -682,11 +682,13 @@ void run_genome_partition_rank_stream(Communicator& comm,
     auto temp = make_accumulator(config.accum_kind, begin, end - begin,
                                  config.centdisc_quantize);
     temp->from_bytes(bytes);
-    for (GenomePos pos = begin; pos < end; ++pos) {
-      const TrackVector counts = temp->counts(pos);
-      bool any = false;
-      for (const float v : counts) any |= v > 0.0f;
-      if (any) accum->add(pos, counts);
+    for (const PositionRange& run : temp->resident_ranges()) {
+      for (GenomePos pos = run.begin; pos < run.end; ++pos) {
+        const TrackVector counts = temp->counts(pos);
+        bool any = false;
+        for (const float v : counts) any |= v > 0.0f;
+        if (any) accum->add(pos, counts);
+      }
     }
   };
   if (p > 1) {

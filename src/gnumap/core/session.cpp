@@ -293,12 +293,19 @@ void map_staged(ReadStream& reads, const ReadMapper& mapper, DrainSink& sink,
   if (error) std::rethrow_exception(error);
 }
 
+/// The session's copy of `config`, rejected before any work starts when a
+/// setting is invalid.
+PipelineConfig checked_config(const PipelineConfig& config) {
+  checked_min_coverage(config.min_coverage);
+  return config;
+}
+
 }  // namespace
 
 MappingSession::MappingSession(const Genome& genome,
                                const PipelineConfig& config)
     : genome_(genome),
-      config_(config),
+      config_(checked_config(config)),
       index_([&]() -> HashIndex {
         Timer timer;
         const double start_us = obs::trace_now_us();
@@ -319,7 +326,7 @@ MappingSession::MappingSession(const Genome& genome,
                                const PipelineConfig& config, HashIndex&& index,
                                double index_seconds)
     : genome_(genome),
-      config_(config),
+      config_(checked_config(config)),
       index_seconds_(index_seconds),
       index_(std::move(index)),
       mapper_(genome_, index_, config_) {

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <vector>
 
 #include "gnumap/accum/accumulator.hpp"
 #include "gnumap/accum/centdisc_accumulator.hpp"
@@ -87,9 +89,19 @@ TEST(NormAccumulator, MergeRejectsMismatch) {
   EXPECT_THROW(a.merge(c), ConfigError);
 }
 
+/// Adds a unit 'A' at every position, making every page resident.
+void touch_every_position(Accumulator& accum) {
+  for (std::uint64_t pos = accum.begin(); pos < accum.begin() + accum.size();
+       ++pos) {
+    accum.add(pos, {1, 0, 0, 0, 0});
+  }
+}
+
 TEST(NormAccumulator, BytesPerPosition) {
   NormAccumulator accum(0, 1000);
   EXPECT_DOUBLE_EQ(accum.bytes_per_position(), 20.0);
+  EXPECT_EQ(accum.memory_bytes(), 0u);  // no page touched yet
+  touch_every_position(accum);
   EXPECT_EQ(accum.memory_bytes(), 1000u * 20u);
 }
 
@@ -190,6 +202,13 @@ TEST(CharDisc, MergePreservesTotals) {
 TEST(CharDisc, BytesPerPosition) {
   CharDiscAccumulator accum(0, 1000);
   EXPECT_DOUBLE_EQ(accum.bytes_per_position(), 9.0);
+}
+
+TEST(CharDisc, MemoryBytesCountTouchedPositions) {
+  CharDiscAccumulator accum(0, 1000);
+  EXPECT_EQ(accum.memory_bytes(), 0u);
+  touch_every_position(accum);
+  EXPECT_EQ(accum.memory_bytes(), 1000u * 9u);
 }
 
 // ---------------------------------------------------------------------------
@@ -403,6 +422,13 @@ TEST(CentDisc, MergeUsesTableAndAddsTotals) {
   EXPECT_GT(counts[3], 2.0f);
 }
 
+TEST(CentDisc, MemoryBytesCountTouchedPositions) {
+  CentDiscAccumulator accum(0, 1000);
+  EXPECT_EQ(accum.memory_bytes(), 0u);
+  touch_every_position(accum);
+  EXPECT_EQ(accum.memory_bytes(), 1000u * 5u);
+}
+
 TEST(CentDisc, BytesPerPositionSmallest) {
   CentDiscAccumulator cent(0, 100);
   CharDiscAccumulator chard(0, 100);
@@ -473,6 +499,252 @@ TEST_P(AccumulatorContract, SerializedMergeMatchesLocalMerge) {
     EXPECT_EQ(a1->counts(pos), a2->counts(pos));
   }
 }
+
+// ---------------------------------------------------------------------------
+// Paged store vs the dense layouts it replaced
+
+/// The dense whole-range buffers the paged store replaced, kept as the
+/// reference: every position allocated up front, same per-add arithmetic.
+class DenseOracle {
+ public:
+  DenseOracle(AccumKind kind, std::uint64_t begin, std::uint64_t size)
+      : kind_(kind),
+        begin_(begin),
+        norm_(size, TrackVector{}),
+        totals_(size, 0.0f),
+        shares_(size, std::array<std::uint8_t, 5>{}),
+        codes_(size, CentroidCodebook::kEmptyCode) {}
+
+  void add(std::uint64_t pos, const TrackVector& delta) {
+    if (pos < begin_ || pos - begin_ >= norm_.size()) return;
+    const std::size_t s = pos - begin_;
+    const auto& book = CentroidCodebook::instance();
+    TrackVector real{};
+    float total = 0.0f;
+    for (std::size_t k = 0; k < 5; ++k) {
+      switch (kind_) {
+        case AccumKind::kNorm:
+          norm_[s][k] += delta[k];
+          break;
+        case AccumKind::kCharDisc:
+          real[k] = totals_[s] * static_cast<float>(shares_[s][k]) / 255.0f +
+                    delta[k];
+          break;
+        case AccumKind::kCentDisc:
+          real[k] = totals_[s] * book.centroid(codes_[s])[k] + delta[k];
+          break;
+      }
+      total += real[k];
+    }
+    if (kind_ == AccumKind::kCharDisc) {
+      shares_[s] = CharDiscAccumulator::quantize(real, total);
+      totals_[s] = total;
+    } else if (kind_ == AccumKind::kCentDisc && total > 0.0f) {
+      codes_[s] = CentDiscAccumulator::approximate_code(book, real);
+      totals_[s] = total;
+    }
+  }
+
+  TrackVector counts(std::uint64_t pos) const {
+    TrackVector out{};
+    if (pos < begin_ || pos - begin_ >= norm_.size()) return out;
+    const std::size_t s = pos - begin_;
+    for (std::size_t k = 0; k < 5; ++k) {
+      switch (kind_) {
+        case AccumKind::kNorm:
+          out[k] = norm_[s][k];
+          break;
+        case AccumKind::kCharDisc:
+          out[k] = totals_[s] * static_cast<float>(shares_[s][k]) / 255.0f;
+          break;
+        case AccumKind::kCentDisc:
+          out[k] = totals_[s] *
+                   CentroidCodebook::instance().centroid(codes_[s])[k];
+          break;
+      }
+    }
+    return out;
+  }
+
+  void merge(const DenseOracle& other) {
+    const auto& book = CentroidCodebook::instance();
+    for (std::size_t s = 0; s < norm_.size(); ++s) {
+      switch (kind_) {
+        case AccumKind::kNorm:
+          for (std::size_t k = 0; k < 5; ++k) norm_[s][k] += other.norm_[s][k];
+          break;
+        case AccumKind::kCharDisc:
+          if (other.totals_[s] > 0.0f) add(begin_ + s, other.counts(begin_ + s));
+          break;
+        case AccumKind::kCentDisc:
+          codes_[s] = book.merge(codes_[s], other.codes_[s]);
+          totals_[s] += other.totals_[s];
+          break;
+      }
+    }
+  }
+
+ private:
+  AccumKind kind_;
+  std::uint64_t begin_;
+  std::vector<TrackVector> norm_;
+  std::vector<float> totals_;
+  std::vector<std::array<std::uint8_t, 5>> shares_;
+  std::vector<std::uint8_t> codes_;
+};
+
+class PagedStore : public ::testing::TestWithParam<AccumKind> {};
+
+TEST_P(PagedStore, RandomOpsMatchDenseOracleBitwise) {
+  constexpr std::uint64_t kPage = Accumulator::kPagePositions;
+  // Ranged (begin not page-aligned), three pages, the last one partial.
+  const std::uint64_t begin = 3 * kPage - 100;
+  const std::uint64_t size = 2 * kPage + 777;
+  const std::uint64_t end = begin + size;
+  const AccumKind kind = GetParam();
+  Rng rng(29 + static_cast<std::uint64_t>(kind));
+
+  // Positions straddling both page boundaries and the range ends, plus
+  // uniform ones; some fall outside the range and must be ignored.
+  const std::vector<std::uint64_t> hot = {
+      begin - 1, begin, begin + kPage - 1, begin + kPage,
+      begin + 2 * kPage - 1, begin + 2 * kPage, end - 1, end, end + 9, 0};
+  auto random_pos = [&]() -> std::uint64_t {
+    if (rng.next_below(3) == 0) return hot[rng.next_below(hot.size())];
+    return begin + rng.next_below(size / 3);  // keep the last page sparse
+  };
+  auto random_delta = [&]() {
+    TrackVector delta{};
+    delta[rng.next_below(5)] = static_cast<float>(rng.next_double()) + 0.25f;
+    if (rng.next_below(2) == 0) {
+      delta[rng.next_below(5)] += static_cast<float>(rng.next_double());
+    }
+    return delta;
+  };
+  auto expect_identical = [&](const Accumulator& paged,
+                              const DenseOracle& dense) {
+    for (const std::uint64_t pos : hot) {
+      const TrackVector a = paged.counts(pos), b = dense.counts(pos);
+      ASSERT_EQ(std::memcmp(a.data(), b.data(), sizeof a), 0) << pos;
+    }
+    for (std::uint64_t pos = begin; pos < end; ++pos) {
+      const TrackVector a = paged.counts(pos), b = dense.counts(pos);
+      ASSERT_EQ(std::memcmp(a.data(), b.data(), sizeof a), 0) << pos;
+    }
+  };
+
+  auto paged = make_accumulator(kind, begin, size);
+  DenseOracle dense(kind, begin, size);
+  EXPECT_TRUE(paged->to_bytes().empty());
+  for (int step = 0; step < 400; ++step) {
+    const std::uint64_t op = rng.next_below(10);
+    if (op < 7) {
+      const std::uint64_t pos = random_pos();
+      const TrackVector delta = random_delta();
+      paged->add(pos, delta);
+      dense.add(pos, delta);
+    } else if (op < 9) {
+      auto other = make_accumulator(kind, begin, size);
+      DenseOracle other_dense(kind, begin, size);
+      for (int i = 0; i < 20; ++i) {
+        const std::uint64_t pos = random_pos();
+        const TrackVector delta = random_delta();
+        other->add(pos, delta);
+        other_dense.add(pos, delta);
+      }
+      if (op == 8) {  // merge through the wire format, as mpsim does
+        auto decoded = make_accumulator(kind, begin, size);
+        decoded->from_bytes(other->to_bytes());
+        other = std::move(decoded);
+      }
+      paged->merge(*other);
+      dense.merge(other_dense);
+    } else {
+      auto decoded = make_accumulator(kind, begin, size);
+      decoded->add(begin, {1, 0, 0, 0, 0});  // from_bytes replaces state
+      decoded->from_bytes(paged->to_bytes());
+      EXPECT_EQ(decoded->memory_bytes(), paged->memory_bytes());
+      paged = std::move(decoded);
+    }
+  }
+  expect_identical(*paged, dense);
+
+  // The last page stayed untouched apart from its boundary hits; every
+  // position with mass lies in a resident range, and memory counts
+  // exactly the resident positions.
+  std::uint64_t resident = 0;
+  for (const PositionRange& run : paged->resident_ranges()) {
+    EXPECT_GE(run.begin, begin);
+    EXPECT_LE(run.end, end);
+    resident += run.end - run.begin;
+  }
+  EXPECT_EQ(paged->memory_bytes(),
+            static_cast<std::uint64_t>(resident *
+                                       paged->bytes_per_position()));
+  const auto ranges = paged->resident_ranges();
+  for (std::uint64_t pos = begin; pos < end; ++pos) {
+    bool any = false;
+    for (const float v : dense.counts(pos)) any |= v != 0.0f;
+    if (!any) continue;
+    bool covered = false;
+    for (const PositionRange& run : ranges) {
+      covered |= pos >= run.begin && pos < run.end;
+    }
+    ASSERT_TRUE(covered) << pos;
+  }
+}
+
+TEST_P(PagedStore, PagesAreAllocatedOnFirstTouch) {
+  constexpr std::uint64_t kPage = Accumulator::kPagePositions;
+  const std::uint64_t size = 2 * kPage + 10;  // last page: 10 positions
+  const auto accum = make_accumulator(GetParam(), 5, size);
+  const auto bpp = static_cast<std::uint64_t>(accum->bytes_per_position());
+  EXPECT_EQ(accum->memory_bytes(), 0u);
+  EXPECT_TRUE(accum->resident_ranges().empty());
+
+  accum->add(4, {1, 0, 0, 0, 0});  // below the range: ignored
+  accum->add(5 + size, {1, 0, 0, 0, 0});  // past the range: ignored
+  EXPECT_EQ(accum->memory_bytes(), 0u);
+
+  accum->add(5 + size - 1, {0, 1, 0, 0, 0});  // the partial last page
+  EXPECT_EQ(accum->memory_bytes(), 10 * bpp);
+  accum->add(5 + kPage - 1, {0, 0, 1, 0, 0});  // the first page
+  EXPECT_EQ(accum->memory_bytes(), (kPage + 10) * bpp);
+  const auto ranges = accum->resident_ranges();
+  ASSERT_EQ(ranges.size(), 2u);
+  EXPECT_EQ(ranges[0].begin, 5u);
+  EXPECT_EQ(ranges[0].end, 5 + kPage);
+  EXPECT_EQ(ranges[1].begin, 5 + 2 * kPage);
+  EXPECT_EQ(ranges[1].end, 5 + size);
+
+  // The untouched middle page reads as zeros and ships no bytes.
+  for (const float v : accum->counts(5 + kPage + 7)) EXPECT_EQ(v, 0.0f);
+  EXPECT_EQ(accum->to_bytes().size(), 2 * sizeof(std::uint64_t) +
+                                          (kPage + 10) * bpp);
+}
+
+TEST_P(PagedStore, FromBytesRejectsMalformedEncodings) {
+  const auto a = make_accumulator(GetParam(), 0, 100);
+  a->add(3, {1, 0, 0, 0, 0});
+  auto bytes = a->to_bytes();
+  const auto b = make_accumulator(GetParam(), 0, 100);
+  auto truncated = bytes;
+  truncated.pop_back();
+  EXPECT_THROW(b->from_bytes(truncated), ConfigError);
+  auto bad_page = bytes;
+  bad_page[0] = 7;  // page 7 of a one-page buffer
+  EXPECT_THROW(b->from_bytes(bad_page), ConfigError);
+  auto repeated = bytes;
+  repeated.insert(repeated.end(), bytes.begin(), bytes.end());
+  EXPECT_THROW(b->from_bytes(repeated), ConfigError);
+  b->from_bytes(bytes);
+  EXPECT_EQ(b->counts(3), a->counts(3));
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, PagedStore,
+                         ::testing::Values(AccumKind::kNorm,
+                                           AccumKind::kCharDisc,
+                                           AccumKind::kCentDisc));
 
 INSTANTIATE_TEST_SUITE_P(AllKinds, AccumulatorContract,
                          ::testing::Values(AccumKind::kNorm,

@@ -8,12 +8,16 @@
 #include "gnumap/core/evaluation.hpp"
 #include "gnumap/core/pipeline.hpp"
 #include "gnumap/core/read_mapper.hpp"
+#include "gnumap/core/session.hpp"
 #include "gnumap/core/snp_caller.hpp"
 #include "gnumap/genome/sequence.hpp"
+#include "gnumap/io/read_stream.hpp"
 #include "gnumap/sim/catalog_gen.hpp"
 #include "gnumap/sim/mutator.hpp"
 #include "gnumap/sim/read_sim.hpp"
 #include "gnumap/sim/reference_gen.hpp"
+#include "gnumap/stats/fdr.hpp"
+#include "gnumap/util/rng.hpp"
 
 namespace gnumap {
 namespace {
@@ -359,6 +363,177 @@ TEST(SnpCaller, RangeRestriction) {
   const auto first_half = call_snps(g, *accum, config, 0, 5);
   ASSERT_EQ(first_half.size(), 1u);
   EXPECT_EQ(first_half[0].position, 2u);
+}
+
+/// call_snps as a scan of every position of [begin, end), the way it ran
+/// before it visited only resident pages.
+std::vector<SnpCall> full_scan_calls(const Genome& g, const Accumulator& accum,
+                                     const PipelineConfig& config,
+                                     GenomePos begin, GenomePos end) {
+  std::vector<SnpCall> candidates;
+  for (GenomePos pos = begin; pos < end; ++pos) {
+    const std::uint8_t ref = g.at(pos);
+    if (ref >= 4 || !g.in_contig(pos)) continue;
+    const TrackVector counts = accum.counts(pos);
+    TrackCounts z;
+    double n = 0.0;
+    for (std::size_t k = 0; k < z.size(); ++k) {
+      z[k] = static_cast<double>(counts[k]);
+      n += z[k];
+    }
+    if (n <= 0.0 || n < config.min_coverage) continue;
+    const LrtResult lrt = lrt_test(z, config.ploidy);
+    if (lrt.allele1 == ref && lrt.allele2 == ref) continue;
+    const ContigCoord coord = g.resolve(pos);
+    candidates.push_back({g.contig_name(coord.contig_id), coord.offset, ref,
+                          lrt.allele1, lrt.allele2, n, lrt.statistic,
+                          lrt.p_adjusted});
+  }
+  std::vector<double> p_values;
+  for (const auto& call : candidates) p_values.push_back(call.p_value);
+  const auto keep = benjamini_hochberg(p_values, config.fdr_q);
+  std::vector<SnpCall> calls;
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    if (config.use_fdr ? keep[i] : candidates[i].p_value < config.alpha) {
+      calls.push_back(candidates[i]);
+    }
+  }
+  return calls;
+}
+
+void expect_same_calls(const std::vector<SnpCall>& a,
+                       const std::vector<SnpCall>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].contig, b[i].contig);
+    EXPECT_EQ(a[i].position, b[i].position);
+    EXPECT_EQ(a[i].ref, b[i].ref);
+    EXPECT_EQ(a[i].allele1, b[i].allele1);
+    EXPECT_EQ(a[i].allele2, b[i].allele2);
+    EXPECT_EQ(a[i].coverage, b[i].coverage);
+    EXPECT_EQ(a[i].lrt_stat, b[i].lrt_stat);
+    EXPECT_EQ(a[i].p_value, b[i].p_value);
+  }
+}
+
+/// A three-contig genome spanning several accumulator pages, with an N run.
+Genome paged_test_genome() {
+  Genome g;
+  Rng rng(43);
+  for (const auto* name : {"chrA", "chrB", "chrC"}) {
+    std::string seq(3 * Accumulator::kPagePositions + 501, 'A');
+    for (auto& c : seq) c = "ACGT"[rng.next_below(4)];
+    std::fill(seq.begin() + 900, seq.begin() + 950, 'N');
+    g.add_contig(name, seq);
+  }
+  return g;
+}
+
+TEST(SnpCaller, ResidentScanMatchesFullScan) {
+  const Genome g = paged_test_genome();
+  Rng rng(47);
+  for (const auto kind :
+       {AccumKind::kNorm, AccumKind::kCharDisc, AccumKind::kCentDisc}) {
+    auto accum = make_accumulator(kind, 0, g.padded_size());
+    // Evidence in a few clusters (one across a contig join, one on a page
+    // boundary, one over the N run); most pages stay untouched.
+    const std::uint64_t contig_b = g.global_pos(1, 0);
+    for (const std::uint64_t centre :
+         {contig_b, std::uint64_t{2} * Accumulator::kPagePositions,
+          std::uint64_t{920}, g.padded_size() - 40}) {
+      for (int i = 0; i < 400; ++i) {
+        const std::uint64_t pos = centre + rng.next_below(120) - 60;
+        TrackVector delta{};
+        delta[rng.next_below(rng.next_below(4) == 0 ? 5 : 2)] =
+            static_cast<float>(rng.next_double()) + 0.5f;
+        accum->add(pos, delta);
+      }
+      for (std::uint64_t snp = centre - 50; snp < centre + 50; snp += 3) {
+        TrackVector alt{};
+        alt[(g.at(snp) + 1) % 4] = 12.0f;
+        accum->add(snp, alt);
+      }
+    }
+    ASSERT_LT(accum->memory_bytes(),
+              g.padded_size() * static_cast<std::uint64_t>(
+                                    accum->bytes_per_position()));
+    for (const double min_coverage : {0.0, 3.0}) {
+      for (const bool fdr : {false, true}) {
+        PipelineConfig config = test_config();
+        config.min_coverage = min_coverage;
+        config.use_fdr = fdr;
+        config.alpha = 1e-3;
+        const auto calls = call_snps(g, *accum, config);
+        EXPECT_FALSE(calls.empty());
+        expect_same_calls(calls,
+                          full_scan_calls(g, *accum, config, 0,
+                                          g.padded_size()));
+        expect_same_calls(
+            call_snps(g, *accum, config, contig_b - 30, contig_b + 5000),
+            full_scan_calls(g, *accum, config, contig_b - 30,
+                            contig_b + 5000));
+      }
+    }
+  }
+}
+
+TEST(SnpCaller, ZeroMinCoverageNeverTestsEmptyPositions) {
+  // Moderate evidence at a few sites: significant among a handful of
+  // tests, but not if every empty position of the genome joined the BH
+  // ranking with p = 1.
+  const Genome g = test_reference(60000);
+  auto accum = make_accumulator(AccumKind::kNorm, 0, g.padded_size());
+  for (std::uint64_t site = 0; site < 8; ++site) {
+    const std::uint64_t pos = 5000 + site * 6000;
+    const std::uint8_t alt = static_cast<std::uint8_t>((g.at(pos) + 1) % 4);
+    TrackVector z{};
+    z[g.at(pos)] = 1.0f;
+    z[alt] = 6.0f + static_cast<float>(site) * 0.25f;  // p ~ 1e-3 .. 1e-4
+    accum->add(pos, z);
+  }
+  PipelineConfig config = test_config();
+  config.use_fdr = true;
+  config.fdr_q = 0.05;
+  config.min_coverage = 1e-9;
+  const auto reference_calls = call_snps(g, *accum, config);
+  EXPECT_FALSE(reference_calls.empty());
+  config.min_coverage = 0.0;
+  expect_same_calls(call_snps(g, *accum, config), reference_calls);
+}
+
+TEST(MappingSession, RejectsNegativeOrNanMinCoverage) {
+  const Genome g = test_reference(5000);
+  PipelineConfig config = test_config();
+  config.min_coverage = -1.0;
+  EXPECT_THROW(MappingSession(g, config), ConfigError);
+  config.min_coverage = std::nan("");
+  EXPECT_THROW(MappingSession(g, config), ConfigError);
+  EXPECT_THROW(checked_min_coverage(-1e-9), ConfigError);
+  EXPECT_EQ(checked_min_coverage(0.0), 0.0);
+}
+
+TEST(MappingSession, AmpliconRunHoldsOnlyTouchedPages) {
+  // 30 reads on a 200 bp amplicon of a 2 Mbp genome.
+  const Genome g = test_reference(2'000'000);
+  const PipelineConfig config = test_config();
+  const MappingSession session(g, config);
+  const std::uint64_t amplicon = 1'234'567;
+  std::vector<Read> reads;
+  for (std::uint64_t i = 0; i < 30; ++i) {
+    Read read;
+    read.name = "amp" + std::to_string(i);
+    for (std::uint64_t j = 0; j < 100; ++j) {
+      read.bases.push_back(g.at(amplicon + (i * 97) % 100 + j));
+    }
+    read.quals.assign(read.bases.size(), 30);
+    reads.push_back(std::move(read));
+  }
+  VectorReadStream stream(reads, config.stream_batch);
+  const PipelineResult result = session.run(stream);
+  EXPECT_EQ(result.stats.reads_mapped, 30u);
+  const std::uint64_t dense_bytes = g.padded_size() * 20;  // NORM
+  EXPECT_GT(result.accum_memory_bytes, 0u);
+  EXPECT_LE(result.accum_memory_bytes * 20, dense_bytes);
 }
 
 // ---------------------------------------------------------------------------
