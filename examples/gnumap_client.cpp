@@ -62,7 +62,7 @@ namespace {
                "  --busy-retries N --connect-retries N --retries N\n"
                "  --deadline-ms N --backoff-base-ms N --backoff-max-ms N\n"
                "  --backoff-total-ms N --backoff-seed N --fault-plan SPEC\n"
-               "  --trace-id N --genome ID\n",
+               "  --trace-id N\n",
                argv0);
   std::exit(2);
 }
@@ -133,9 +133,6 @@ int main(int argc, char** argv) {
         options.backoff_seed = parse_u64(need_value(i));
       } else if (arg == "--trace-id") {
         options.trace_id = parse_u64(need_value(i));
-      } else if (arg == "--genome") {
-        // Registry genome id (protocol v4); "" = the server's default.
-        options.genome_id = need_value(i);
       } else if (arg == "--fault-plan") {
         fault_spec = need_value(i);
       } else if (arg == "--quiet") {

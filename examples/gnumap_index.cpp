@@ -33,7 +33,7 @@
 
 #include "gnumap/core/config.hpp"
 #include "gnumap/fleet/index_file.hpp"
-#include "gnumap/fleet/registry.hpp"
+#include "gnumap/fleet/resident_genome.hpp"
 #include "gnumap/genome/partition.hpp"
 #include "gnumap/index/hash_index.hpp"
 #include "gnumap/io/fasta.hpp"
@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
 
     const Genome genome = genome_from_fasta_file(ref_path);
 
-    // The shard margin must match the daemon's: it derives from the
-    // default pipeline's window pad and seeder band (fleet/registry.hpp).
+    // The shard margin must match the daemon's: it derives from the default
+    // pipeline's window pad and seeder band (fleet/resident_genome.hpp).
     GenomePos build_begin = 0;
     GenomePos build_end = 0;
     if (shard_index >= 0) {

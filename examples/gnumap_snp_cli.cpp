@@ -56,7 +56,7 @@ namespace {
                "  --out FILE --vcf FILE --alpha X --fdr Q --ploidy 1|2\n"
                "  --kmer K --accum norm|chardisc|centdisc --threads N\n"
                "  --batch N --queue-depth N --output-buffer-bytes N\n"
-               "  --phmm-fp32 [--phmm-fp32-margin X] --phmm-bin-slack N\n"
+               "  --phmm-fp32 [--phmm-fp32-margin X]\n"
                "  --min-coverage X --phred64 --quiet\n"
                "  --trace-out FILE --metrics-out FILE\n",
                argv0);
@@ -129,9 +129,6 @@ int main(int argc, char** argv) {
         if (config.phmm_fp32_margin < 0.0) {
           usage(argv[0], "--phmm-fp32-margin must be >= 0");
         }
-      } else if (arg == "--phmm-bin-slack") {
-        config.phmm_bin_slack =
-            static_cast<std::size_t>(parse_u64(need_value(i)));
       } else if (arg == "--min-coverage") {
         config.min_coverage =
             checked_min_coverage(parse_double(need_value(i)));

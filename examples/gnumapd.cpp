@@ -1,13 +1,17 @@
 // gnumapd — long-lived mapping service over a hot index.
 //
-// Loads the reference and builds the hash index once, then serves MAP
-// requests over a framed TCP protocol (src/gnumap/serve/wire.hpp) until
-// stopped.  Results are byte-identical to gnumap_snp_cli on the same
-// reads: both run the identical MappingSession.
+// Loads one reference and builds its hash index once (or mmaps a
+// gnumap_index file), then serves MAP requests over a framed TCP protocol
+// (src/gnumap/serve/wire.hpp) until stopped.  Results are byte-identical to
+// gnumap_snp_cli on the same reads: both run the identical MappingSession.
 //
 //   gnumapd --ref genome.fa [options]
+//   gnumapd --index genome.gidx [options]
 //
 // Options:
+//   --shard I/N         serve shard I of N of the genome (fleet router
+//                       backend); --shard-max-read-len N sizes its margin
+//   --route HOST:PORT[,HOST:PORT...]  run as the shard router instead
 //   --port N            TCP port (default 0 = pick an ephemeral port)
 //   --port-file FILE    write the bound port to FILE once listening
 //   --bind-any          listen on 0.0.0.0 instead of loopback
@@ -49,14 +53,12 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "gnumap/serve/fault_shim.hpp"
 
 #include "gnumap/core/snp_caller.hpp"
 #include "gnumap/fleet/index_file.hpp"
-#include "gnumap/fleet/registry.hpp"
 #include "gnumap/fleet/router.hpp"
 #include "gnumap/io/fasta.hpp"
 #include "gnumap/obs/obs_cli.hpp"
@@ -95,25 +97,6 @@ void drain_handler(int sig) {
   std::raise(sig);
 }
 
-/// "ID=PATH" → GenomeSpec; the loader is chosen by sniffing the file's
-/// magic, so FASTA references and fleet index files mix freely.
-fleet::GenomeSpec parse_genome_spec(const std::string& value) {
-  const auto eq = value.find('=');
-  if (eq == std::string::npos || eq == 0 || eq + 1 >= value.size()) {
-    throw ParseError("--genome wants ID=PATH, got \"" + value + "\"");
-  }
-  fleet::GenomeSpec spec;
-  spec.id = value.substr(0, eq);
-  spec.path = value.substr(eq + 1);
-  std::ifstream probe(spec.path, std::ios::binary);
-  char magic[8] = {};
-  probe.read(magic, sizeof magic);
-  spec.is_index_file =
-      probe.gcount() == sizeof magic &&
-      std::string_view(magic, 8) == std::string_view("GNFLDX\x01\x00", 8);
-  return spec;
-}
-
 /// "HOST:PORT" (host optional, defaults to loopback) → ShardBackend.
 fleet::ShardBackend parse_backend(const std::string& value) {
   fleet::ShardBackend backend;
@@ -134,12 +117,7 @@ fleet::ShardBackend parse_backend(const std::string& value) {
                "usage: %s --ref genome.fa [options]\n"
                "       %s --index genome.gidx [options]\n"
                "       %s --route HOST:PORT[,HOST:PORT...] --ref genome.fa\n"
-               "  --genome ID=PATH     additional registry genome (repeatable;\n"
-               "                       PATH is a FASTA or a gnumap_index file)\n"
-               "  --memory-budget N    registry resident-bytes budget (0 = off)\n"
-               "  --evicted-retry-ms N retry hint on kEvicted answers\n"
-               "  --per-genome-admission-reads N  per-genome window\n"
-               "  --shard I/N          serve shard I of N of each genome\n"
+               "  --shard I/N          serve shard I of N of the genome\n"
                "  --shard-max-read-len N  margin sizing for shard mode\n"
                "  --port N --port-file FILE --bind-any\n"
                "  --admin-port N --admin-port-file FILE\n"
@@ -151,7 +129,7 @@ fleet::ShardBackend parse_backend(const std::string& value) {
                "  --accum norm|chardisc|centdisc --threads N\n"
                "  --batch N --queue-depth N --output-buffer-bytes N\n"
                "  --min-coverage X --quiet\n"
-               "  --phmm-fp32 [--phmm-fp32-margin X] --phmm-bin-slack N\n"
+               "  --phmm-fp32 [--phmm-fp32-margin X]\n"
                "  --trace-out FILE --metrics-out FILE\n",
                argv0, argv0, argv0);
   std::exit(2);
@@ -163,7 +141,6 @@ int main(int argc, char** argv) {
   obs::strip_cli_flags(argc, argv);
   std::string ref_path, port_file, admin_port_file;
   std::string index_path;
-  std::vector<fleet::GenomeSpec> extra_genomes;
   std::vector<fleet::ShardBackend> route_backends;
   int shard_index = -1;
   int shard_count = 0;
@@ -191,15 +168,6 @@ int main(int argc, char** argv) {
         ref_path = need_value(i);
       } else if (arg == "--index") {
         index_path = need_value(i);
-      } else if (arg == "--genome") {
-        extra_genomes.push_back(parse_genome_spec(need_value(i)));
-      } else if (arg == "--memory-budget") {
-        options.registry_memory_budget_bytes = parse_u64(need_value(i));
-      } else if (arg == "--evicted-retry-ms") {
-        options.evicted_retry_ms =
-            static_cast<std::uint32_t>(parse_u64(need_value(i)));
-      } else if (arg == "--per-genome-admission-reads") {
-        options.per_genome_admission_reads = parse_u64(need_value(i));
       } else if (arg == "--shard") {
         const std::string spec = need_value(i);
         const auto slash = spec.find('/');
@@ -301,9 +269,6 @@ int main(int argc, char** argv) {
         if (config.phmm_fp32_margin < 0.0) {
           usage(argv[0], "--phmm-fp32-margin must be >= 0");
         }
-      } else if (arg == "--phmm-bin-slack") {
-        config.phmm_bin_slack =
-            static_cast<std::size_t>(parse_u64(need_value(i)));
       } else if (arg == "--quiet") {
         quiet = true;
       } else if (arg == "--help" || arg == "-h") {
@@ -362,30 +327,14 @@ int main(int argc, char** argv) {
     options.shard_count = shard_count;
     options.shard_max_read_len = shard_max_read_len;
 
-    // Registry mode whenever an index file or extra genomes are involved;
-    // the plain --ref path stays on the legacy eager constructor.
+    // --index mmaps the genome and its index; --ref builds the index here.
     std::optional<Genome> reference;
     std::unique_ptr<serve::MappingServer> server;
-    if (!index_path.empty() || !extra_genomes.empty()) {
-      std::vector<fleet::GenomeSpec> specs;
-      if (!index_path.empty() || !ref_path.empty()) {
-        fleet::GenomeSpec def;
-        def.id = "default";
-        if (!index_path.empty()) {
-          def.path = index_path;
-          def.is_index_file = true;
-        } else {
-          def.path = ref_path;
-        }
-        specs.push_back(std::move(def));
-      }
-      // With only --genome entries, the first one doubles as the default
-      // genome that v3 clients (no genome id on the wire) map against.
-      for (auto& g : extra_genomes) specs.push_back(std::move(g));
-      server = std::make_unique<serve::MappingServer>(std::move(specs),
-                                                      config, options);
+    if (!index_path.empty()) {
+      server =
+          std::make_unique<serve::MappingServer>(index_path, config, options);
     } else {
-      if (ref_path.empty()) usage(argv[0], "--ref is required");
+      if (ref_path.empty()) usage(argv[0], "--ref or --index is required");
       reference.emplace(genome_from_fasta_file(ref_path));
       server =
           std::make_unique<serve::MappingServer>(*reference, config, options);

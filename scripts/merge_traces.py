@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Splice a gnumap client trace and a gnumapd server trace into one timeline.
 
-Both sides export Chrome trace-event JSON (--trace-out), and protocol v3
-propagates a 64-bit trace id from the client's MAP_BEGIN into the server's
-serve_request span, so matching spans on the two sides carry the same
-``args.trace_id`` hex string.  This script loads both files, pairs each
+Both sides export Chrome trace-event JSON (--trace-out), and the wire
+protocol propagates a 64-bit trace id from the client's MAP_BEGIN into the
+server's serve_request span, so matching spans on the two sides carry the
+same ``args.trace_id`` hex string.  This script loads both files, pairs each
 client ``map_request`` span with the server ``serve_request`` span sharing
 its trace id, shifts the server's clock so the paired spans are
 center-aligned, and writes a single Perfetto/chrome://tracing-loadable

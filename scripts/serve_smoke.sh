@@ -179,8 +179,8 @@ if [ -n "$INDEX_CLI" ]; then
 
   "$CLIENT" --port-file "$WORK/cold_port" --stats > "$WORK/cold_stats.txt" \
     || fail "STATS probe on the cold-start server failed"
-  grep -q "^registry_genomes=" "$WORK/cold_stats.txt" \
-    || fail "cold-start stats missing the registry counters"
+  grep -q "^resident_bytes=" "$WORK/cold_stats.txt" \
+    || fail "cold-start stats missing resident_bytes"
   grep -q "^index_load_seconds=" "$WORK/cold_stats.txt" \
     || fail "cold-start stats missing index_load_seconds"
 

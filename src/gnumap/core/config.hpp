@@ -35,11 +35,6 @@ struct PipelineConfig {
   /// recomputed with the scalar double oracle so call decisions match the
   /// fp64 pipeline (docs/KERNELS.md §8).
   phmm::Precision phmm_precision = phmm::Precision::kAuto;
-  /// Length-binning slack for the batched PHMM scheduler: the DP-shape
-  /// spread allowed within one SIMD pack (0 = identical shapes only, the
-  /// pre-binning packing).  Purely a speed knob — results are bit-identical
-  /// at any value (docs/KERNELS.md §7).
-  std::size_t phmm_bin_slack = phmm::kDefaultBinSlack;
   /// FP32 only: the recompute margin, in log-likelihood units.  A read is
   /// re-scored with the scalar double oracle when its best score lands
   /// within this margin of the mapped-at-all cutoff, or any site posterior

@@ -142,8 +142,7 @@ std::vector<std::vector<ScoredSite>> ReadMapper::score_reads(
   // put until the last sweep returns.
   ws.batch.configure(config_.phmm, BoundaryMode::kSemiGlobal,
                      phmm::EngineOptions{.simd = simd_level_,
-                                         .precision = precision_,
-                                         .bin_slack = config_.phmm_bin_slack});
+                                         .precision = precision_});
   std::vector<ReadPwms> pwms(reads.size());
   std::vector<std::vector<CandidateWindow>> candidates(reads.size());
   struct Pending {

@@ -37,7 +37,6 @@ using serve::kChunkBytes;
 using serve::kFlagPhred64;
 using serve::kFlagShardPartials;
 using serve::kFlagWantSam;
-using serve::kMinProtocolVersion;
 using serve::kProtocolVersion;
 using serve::MapBeginInfo;
 using serve::read_frame;
@@ -216,22 +215,22 @@ void RouterServer::handle_connection(Socket sock, int conn_id) {
       return;
     }
     const auto [version, client_name] = decode_hello(hello->payload);
-    if (version < kMinProtocolVersion) {
+    if (version != kProtocolVersion) {
       send_error(sock, WireErrorCode::kBadVersion,
-                 "unsupported protocol version " + std::to_string(version));
+                 "unsupported protocol version " + std::to_string(version) +
+                     " (router speaks " + std::to_string(kProtocolVersion) +
+                     ")");
       return;
     }
-    const std::uint16_t agreed =
-        std::min<std::uint16_t>(version, kProtocolVersion);
     write_frame(sock, FrameType::kHelloOk,
-                encode_hello(agreed,
+                encode_hello(kProtocolVersion,
                              "gnumapd-router shards=" +
                                  std::to_string(options_.backends.size()) +
                                  " genome_bases=" +
                                  std::to_string(genome_.num_bases())),
                 options_.io_timeout_ms);
     GNUMAP_LOG(kDebug) << "router: conn " << conn_id << " handshake ok ("
-                       << client_name << ", v" << agreed << ")";
+                       << client_name << ")";
 
     for (;;) {
       std::optional<Frame> frame;
@@ -303,9 +302,6 @@ bool RouterServer::handle_map(Socket& sock, const MapBeginInfo& begin,
                who + "a router cannot serve shard partials itself");
     return false;
   }
-  const std::string genome_id =
-      begin.genome_id.empty() ? options_.genome_id : begin.genome_id;
-
   Timer request_timer;
 
   // Scatter setup: connect, handshake, and MAP_BEGIN every shard before
@@ -344,11 +340,12 @@ bool RouterServer::handle_map(Socket& sock, const MapBeginInfo& begin,
                             " to HELLO");
       }
       const auto [shard_version, banner] = decode_hello(reply->payload);
-      if (shard_version < 4) {
+      if (shard_version != kProtocolVersion) {
         throw WireError(WireErrorCode::kBadVersion,
-                        "shard " + conn.label + " negotiated v" +
+                        "shard " + conn.label + " answered protocol v" +
                             std::to_string(shard_version) +
-                            "; shard partials need v4");
+                            "; router speaks v" +
+                            std::to_string(kProtocolVersion));
       }
       shards.push_back(std::move(conn));
     }
@@ -357,15 +354,11 @@ bool RouterServer::handle_map(Socket& sock, const MapBeginInfo& begin,
     // the client its own MAP_GO.
     std::uint32_t busy_hint = 0;
     std::string busy_msg;
+    MapBeginInfo shard_begin = begin;
+    shard_begin.flags = kFlagShardPartials;
+    const std::string shard_begin_payload = encode_map_begin(shard_begin);
     for (ShardConn& shard : shards) {
-      MapBeginInfo info;
-      info.flags = kFlagShardPartials;
-      info.deadline_ms = begin.deadline_ms;
-      info.trace_id = begin.trace_id;
-      info.parent_span_id = begin.parent_span_id;
-      info.genome_id = genome_id;
-      write_frame(shard.sock, FrameType::kMapBegin,
-                  encode_map_begin(info, /*version=*/4),
+      write_frame(shard.sock, FrameType::kMapBegin, shard_begin_payload,
                   options_.io_timeout_ms);
     }
     for (ShardConn& shard : shards) {
@@ -543,7 +536,6 @@ bool RouterServer::handle_map(Socket& sock, const MapBeginInfo& begin,
     done += u64_kv("phmm_cells", shard_cells);
     done += u64_kv("upload_bytes", upload_bytes);
     done += u64_kv("result_bytes", result_bytes);
-    done += "genome_id=" + genome_id + "\n";
     done += dbl_kv("total_seconds", request_timer.seconds());
     if (begin.trace_id != 0) {
       done += "trace_id=" + serve::trace_id_hex(begin.trace_id) + "\n";

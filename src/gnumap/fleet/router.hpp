@@ -1,7 +1,7 @@
 // The fleet shard router: one genome split across backend gnumapd shards.
 //
 // The router speaks the ordinary serving protocol to clients (a client
-// cannot tell a router from a single daemon) and the v4 shard-partial
+// cannot tell a router from a single daemon) and the shard-partial
 // dialect to its backends.  For each MAP request it fans every decoded
 // read batch out as SHARD_READS frames, gathers one RESULT_PARTIAL per
 // shard, merges the per-read candidate lists in seeder order, truncates
@@ -53,9 +53,6 @@ struct RouterOptions {
   /// Deadline while waiting for a shard's RESULT_PARTIAL (scoring time).
   int shard_timeout_ms = 300'000;
   std::uint32_t max_frame_bytes = serve::kDefaultMaxFrameBytes;
-  /// Genome id forwarded to the shards in MAP_BEGIN ("" = their default).
-  /// Clients may override per request on a v4 connection.
-  std::string genome_id;
   std::vector<ShardBackend> backends;
 };
 

@@ -1,8 +1,8 @@
 // Alpha-beta cluster cost model.
 //
-// The reproduction host is a single core, so thread-per-rank wall clock says
-// nothing about multi-node scaling.  Instead each rank's *measured* compute
-// time (Communicator::compute_clock) and *counted* communication volume
+// Ranks are threads on one host, so thread-per-rank wall clock says nothing
+// about multi-node scaling.  Instead each rank's *measured* compute time
+// (Communicator::compute_clock) and *counted* communication volume
 // (CommStats) are combined under the classic alpha-beta model:
 //
 //     t_rank = compute + messages * alpha + bytes / beta
@@ -14,11 +14,11 @@
 // byte was actually sent through mpsim); only the network constants are
 // assumed.
 //
-// Because all rank-threads time-share one physical core, measured per-rank
-// compute time would be inflated by contention when ranks run concurrently.
-// The pipeline therefore measures kernel time per rank while ranks execute
-// their compute phases serially (barrier-separated), which a 1-core host
-// makes cheap; see core/dist_modes.cpp.
+// Ranks run concurrently, and may outnumber the host's cores.  Their
+// compute clocks therefore count each rank thread's own CPU time
+// (CLOCK_THREAD_CPUTIME_ID), which excludes time spent waiting for a core,
+// so contention does not inflate a rank's compute seconds; see
+// core/dist_modes.hpp.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -138,14 +137,12 @@ std::optional<std::uint32_t> MappingClient::connect_and_handshake() {
                         std::to_string(static_cast<int>(reply->type)));
   }
   const auto [version, banner] = decode_hello(reply->payload);
-  if (version < kMinProtocolVersion || version > kProtocolVersion) {
+  if (version != kProtocolVersion) {
     throw WireError(WireErrorCode::kBadVersion,
-                    "server negotiated protocol version " +
+                    "server answered protocol version " +
                         std::to_string(version) + ", client speaks " +
-                        std::to_string(kMinProtocolVersion) + ".." +
                         std::to_string(kProtocolVersion));
   }
-  version_ = version;
   banner_ = banner;
   return std::nullopt;
 }
@@ -157,7 +154,7 @@ void MappingClient::establish(MapOutcome* outcome, const Timer& call_timer) {
     std::uint32_t hint_ms = 0;
     try {
       const auto busy = connect_and_handshake();
-      if (!busy.has_value()) return;  // connected and negotiated
+      if (!busy.has_value()) return;  // connected and handshaken
       hint_ms = *busy;
       ++acc.busy_answers;
       if (attempt >= options_.connect_retries) {
@@ -194,7 +191,7 @@ MapOutcome MappingClient::map(std::istream& fastq, std::ostream& tsv_out,
   const std::istream::pos_type rewind_pos = fastq.tellg();
 
   // The trace id names the logical request, so it is drawn once per map()
-  // call and survives reconnects; it only reaches the wire on v3.
+  // call and survives reconnects.
   std::uint64_t trace_id = options_.trace_id;
   while (trace_id == 0) trace_id = rng_();
   std::uint64_t parent_span_id = 0;
@@ -235,11 +232,10 @@ void MappingClient::map_once(std::istream& fastq, std::ostream& tsv_out,
   // The whole transaction under one span carrying the request's trace id,
   // so a merged timeline (scripts/merge_traces.py) shows the client's view
   // of the request next to the server's serve_request span.
-  const bool traced = version_ >= 3;
-  outcome.trace_id = traced ? trace_id : 0;
+  outcome.trace_id = trace_id;
   obs::TraceSpan span("map_request", "serve", "attempt",
                       static_cast<double>(outcome.attempts + 1));
-  if (traced) span.set_id(trace_id);
+  span.set_id(trace_id);
 
   // Admission: MAP_BEGIN until MAP_GO (no reads sent yet, so BUSY retries
   // are free).  The deadline sent along is what remains of ours, so the
@@ -253,30 +249,11 @@ void MappingClient::map_once(std::istream& fastq, std::ostream& tsv_out,
           1, static_cast<std::int64_t>(options_.deadline_ms) -
                  static_cast<std::int64_t>(call_timer.seconds() * 1000.0)));
     }
-    // v3 adds the trace fields and v4 the genome id; a v2 server must see
-    // the 5-byte payload it has always seen (asserted byte-exactly in
-    // tests/test_serve.cpp).  encode_map_begin throws kBadVersion when a
-    // genome id is requested on a pre-v4 connection — better a typed error
-    // than silently mapping against the wrong genome.
-    std::string begin_payload;
-    if (traced) {
-      MapBeginInfo info;
-      info.flags = flags;
-      info.deadline_ms = server_deadline_ms;
-      info.trace_id = trace_id;
-      info.parent_span_id = parent_span_id;
-      info.genome_id = options_.genome_id;
-      begin_payload = encode_map_begin(info, version_);
-    } else {
-      if (!options_.genome_id.empty()) {
-        throw WireError(WireErrorCode::kBadVersion,
-                        "genome id \"" + options_.genome_id +
-                            "\" requires protocol v4, but the server "
-                            "negotiated v" + std::to_string(version_));
-      }
-      begin_payload = encode_map_begin(flags, server_deadline_ms);
-    }
-    write_frame(sock_, FrameType::kMapBegin, begin_payload,
+    write_frame(sock_, FrameType::kMapBegin,
+                encode_map_begin({.flags = flags,
+                                  .deadline_ms = server_deadline_ms,
+                                  .trace_id = trace_id,
+                                  .parent_span_id = parent_span_id}),
                 bounded_timeout(options_.io_timeout_ms, call_timer));
     auto reply = read_frame(sock_, options_.max_frame_bytes,
                             bounded_timeout(options_.io_timeout_ms,
@@ -298,23 +275,6 @@ void MappingClient::map_once(std::istream& fastq, std::ostream& tsv_out,
     }
     if (reply->type == FrameType::kError) {
       const auto [code, msg] = decode_error(reply->payload);
-      if (code == WireErrorCode::kEvicted) {
-        // The genome was evicted under memory pressure.  Nothing has been
-        // uploaded yet, so this is retryable exactly like BUSY; honour the
-        // server's retry_after_ms=N hint embedded in the message.
-        std::uint32_t retry_ms = 0;
-        const auto pos = msg.find("retry_after_ms=");
-        if (pos != std::string::npos) {
-          retry_ms = static_cast<std::uint32_t>(
-              std::strtoul(msg.c_str() + pos + 15, nullptr, 10));
-        }
-        ++outcome.busy_answers;
-        if (attempt >= options_.busy_retries ||
-            !backoff_sleep(retry_ms, attempt, outcome, call_timer)) {
-          throw WireError(code, msg);
-        }
-        continue;
-      }
       throw WireError(code, msg);
     }
     throw WireError(WireErrorCode::kProtocol,
@@ -384,7 +344,7 @@ void MappingClient::map_once(std::istream& fastq, std::ostream& tsv_out,
           // carries total_seconds, so a span ending now and tagged with
           // the same trace id shows the server-side window even when the
           // two processes never share trace files.
-          if (traced && obs::trace_enabled()) {
+          if (obs::trace_enabled()) {
             const auto total = outcome.stats.find("total_seconds");
             if (total != outcome.stats.end()) {
               const double dur_us =

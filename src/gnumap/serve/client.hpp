@@ -1,7 +1,7 @@
 // Client side of the gnumap serving protocol (wire.hpp).
 //
-// MappingClient connects, performs the HELLO handshake (accepting any
-// negotiated version the build can speak), and then issues MAP / STATS /
+// MappingClient connects, performs the HELLO handshake (the server must
+// answer with this build's protocol version), and then issues MAP / STATS /
 // HEALTH / SHUTDOWN transactions over the one connection.  map() is the
 // interesting call: FASTQ text is pushed as READS_CHUNK frames from a
 // background sender thread while the calling thread consumes RESULT_*
@@ -74,15 +74,10 @@ struct ClientOptions {
   WireFaultPlan fault_plan;
   /// Free-text client name sent in HELLO (shows up in server logs).
   std::string name = "gnumap-client";
-  /// Trace id sent in MAP_BEGIN on a v3 connection; 0 draws a fresh random
-  /// id per map() call (tests pin it for byte-exact round-trip checks).
-  /// The id survives mid-call reconnects — it names the logical request.
+  /// Trace id sent in MAP_BEGIN; 0 draws a fresh random id per map() call
+  /// (tests pin it for byte-exact round-trip checks).  The id survives
+  /// mid-call reconnects — it names the logical request.
   std::uint64_t trace_id = 0;
-  /// Registry genome id sent in MAP_BEGIN ("" = the server's default
-  /// genome).  Requires a v4 connection; map() throws
-  /// WireError(kBadVersion) when set against an older server rather than
-  /// silently mapping to its default genome.
-  std::string genome_id;
 };
 
 /// Result of one MAP transaction, including retry accounting.
@@ -94,8 +89,8 @@ struct MapOutcome {
   /// in_flight_peak, window_reads, map_seconds, plus the server's
   /// per-stage timing summary — total_seconds, decode_seconds,
   /// map_stage_seconds, drain_seconds (= format_seconds + splice_seconds,
-  /// also present split), gcups, ... — and, on a traced v3
-  /// request, the echoed trace_id/parent_span_id as hex strings).
+  /// also present split), gcups, ... — and the echoed
+  /// trace_id/parent_span_id as hex strings).
   std::map<std::string, std::string> stats;
   std::uint64_t tsv_bytes = 0;
   std::uint64_t sam_bytes = 0;
@@ -107,8 +102,7 @@ struct MapOutcome {
   int reconnects = 0;
   /// Total milliseconds slept in retry backoff.
   std::uint64_t backoff_ms = 0;
-  /// Trace id this request carried in MAP_BEGIN (0 on a v2 connection,
-  /// where the field does not exist on the wire).
+  /// Trace id this request carried in MAP_BEGIN.
   std::uint64_t trace_id = 0;
 };
 
@@ -124,8 +118,6 @@ class MappingClient {
 
   /// Server banner from HELLO_OK.
   const std::string& banner() const { return banner_; }
-  /// Protocol version agreed during the handshake.
-  std::uint16_t negotiated_version() const { return version_; }
 
   /// Maps the FASTQ text readable from `fastq`.  SNP calls (TSV, identical
   /// to the offline CLI's --out bytes) are written to `tsv_out`; when
@@ -171,7 +163,6 @@ class MappingClient {
   ClientOptions options_;
   Socket sock_;
   std::string banner_;
-  std::uint16_t version_ = 0;
   std::mt19937_64 rng_;
   std::shared_ptr<WireFaultInjector> injector_;
 };

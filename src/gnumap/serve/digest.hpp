@@ -28,8 +28,7 @@ namespace gnumap::serve {
 struct RequestDigest {
   std::uint64_t request_id = 0;
   int conn_id = -1;
-  std::uint64_t trace_id = 0;  ///< 0 = request was not traced (pre-v3 peer)
-  std::string genome_id;       ///< registry id the request mapped against
+  std::uint64_t trace_id = 0;  ///< 0 = request was not traced
   /// 0 = completed; otherwise the WireErrorCode the request died with.
   std::uint16_t error_code = 0;
 

@@ -213,18 +213,9 @@ struct MappingServer::ConnectionSlot {
 
 namespace {
 
-fleet::RegistryOptions registry_options(const ServeOptions& options) {
-  fleet::RegistryOptions r;
-  r.memory_budget_bytes = options.registry_memory_budget_bytes;
-  r.admission_reads = options.per_genome_admission_reads != 0
-                          ? options.per_genome_admission_reads
-                          : options.admission_reads;
-  r.per_connection_reads = options.per_connection_reads;
-  r.evicted_retry_ms = options.evicted_retry_ms;
-  r.shard_index = options.shard_index;
-  r.shard_count = options.shard_count;
-  r.shard_max_read_len = options.shard_max_read_len;
-  return r;
+fleet::ShardSpec shard_spec(const ServeOptions& options) {
+  return {options.shard_index, options.shard_count,
+          options.shard_max_read_len};
 }
 
 }  // namespace
@@ -232,21 +223,25 @@ fleet::RegistryOptions registry_options(const ServeOptions& options) {
 MappingServer::MappingServer(const Genome& genome,
                              const PipelineConfig& config,
                              const ServeOptions& options)
+    : MappingServer(
+          fleet::ResidentGenome::build(genome, config, shard_spec(options)),
+          options) {}
+
+MappingServer::MappingServer(const std::string& index_path,
+                             const PipelineConfig& config,
+                             const ServeOptions& options)
+    : MappingServer(
+          fleet::ResidentGenome::load(index_path, config, shard_spec(options)),
+          options) {}
+
+MappingServer::MappingServer(fleet::ResidentGenome genome,
+                             const ServeOptions& options)
     : options_(options),
-      registry_(std::make_unique<fleet::GenomeRegistry>(
-          genome, config, registry_options(options))),
+      genome_(std::move(genome)),
       listener_(std::make_unique<Listener>(options.port, options.bind_any)),
       admission_(options.admission_reads, options.per_connection_reads),
       digests_(options.digest_ring_capacity) {
   serve_metrics();  // register the gnumap_serve_* series up front
-  {
-    // Load the default genome once so the daemon greets its first client
-    // warm, then drop the lease so it stays evictable under a budget.
-    const fleet::GenomeLease lease = registry_->acquire("");
-    default_genome_bases_ = lease->session->genome().num_bases();
-    default_index_entries_ = lease->session->index().num_entries();
-    default_index_load_seconds_ = lease->index_load_seconds;
-  }
   if (!options_.fault_plan.empty()) {
     listener_->set_fault_injector(make_injector(options_.fault_plan));
     GNUMAP_LOG(kWarn) << "gnumapd: wire fault plan active: "
@@ -257,43 +252,13 @@ MappingServer::MappingServer(const Genome& genome,
                                                options_.bind_any);
     GNUMAP_LOG(kInfo) << "gnumapd: admin endpoint on port " << admin_->port();
   }
+  const MappingSession& session = genome_.session();
   GNUMAP_LOG(kInfo) << "gnumapd: index resident ("
-                    << default_index_entries() << " entries over "
-                    << default_genome_bases()
-                    << " bases), listening on port " << listener_->port();
-}
-
-MappingServer::MappingServer(std::vector<fleet::GenomeSpec> genomes,
-                             const PipelineConfig& config,
-                             const ServeOptions& options)
-    : options_(options),
-      registry_(std::make_unique<fleet::GenomeRegistry>(
-          std::move(genomes), config, registry_options(options))),
-      listener_(std::make_unique<Listener>(options.port, options.bind_any)),
-      admission_(options.admission_reads, options.per_connection_reads),
-      digests_(options.digest_ring_capacity) {
-  serve_metrics();
-  {
-    const fleet::GenomeLease lease = registry_->acquire("");
-    default_genome_bases_ = lease->session->genome().num_bases();
-    default_index_entries_ = lease->session->index().num_entries();
-    default_index_load_seconds_ = lease->index_load_seconds;
-  }
-  if (!options_.fault_plan.empty()) {
-    listener_->set_fault_injector(make_injector(options_.fault_plan));
-    GNUMAP_LOG(kWarn) << "gnumapd: wire fault plan active: "
-                      << options_.fault_plan.describe();
-  }
-  if (options_.admin_port >= 0) {
-    admin_ = std::make_unique<AdminHttpServer>(*this, options_.admin_port,
-                                               options_.bind_any);
-    GNUMAP_LOG(kInfo) << "gnumapd: admin endpoint on port " << admin_->port();
-  }
-  GNUMAP_LOG(kInfo) << "gnumapd: registry of " << registry_->size()
-                    << " genome(s), default \"" << registry_->default_id()
-                    << "\" resident (" << default_index_entries()
-                    << " entries over " << default_genome_bases()
-                    << " bases), listening on port " << listener_->port();
+                    << session.index().num_entries() << " entries over "
+                    << session.genome().num_bases() << " bases, "
+                    << genome_.resident_bytes() << " bytes, "
+                    << genome_.load_seconds()
+                    << " s load), listening on port " << listener_->port();
 }
 
 MappingServer::~MappingServer() {
@@ -308,7 +273,7 @@ int MappingServer::admin_port() const {
 }
 
 std::uint64_t MappingServer::request_window_reads() const {
-  const auto& config = registry_->config();
+  const auto& config = genome_.session().config();
   const std::uint64_t threads =
       static_cast<std::uint64_t>(std::max(1, config.threads));
   const std::uint64_t queue_depth =
@@ -388,13 +353,10 @@ std::string MappingServer::stats_text() const {
   const ServerStats s = stats();
   std::string text;
   text += u64_kv("protocol_version", kProtocolVersion);
-  text += u64_kv("genome_bases", default_genome_bases());
-  text += u64_kv("index_entries", default_index_entries());
-  text += u64_kv("registry_genomes",
-                 static_cast<std::uint64_t>(registry_->size()));
-  text += u64_kv("registry_resident_bytes", registry_->resident_bytes());
-  text += u64_kv("registry_evictions_total", registry_->evictions());
-  text += dbl_kv("index_load_seconds", default_index_load_seconds_);
+  text += u64_kv("genome_bases", genome_.session().genome().num_bases());
+  text += u64_kv("index_entries", genome_.session().index().num_entries());
+  text += u64_kv("resident_bytes", genome_.resident_bytes());
+  text += dbl_kv("index_load_seconds", genome_.load_seconds());
   text += u64_kv("admission_capacity_reads", admission_.capacity());
   text += u64_kv("admitted_reads", admission_.admitted());
   text += u64_kv("admitted_reads_peak", admission_.peak());
@@ -446,7 +408,7 @@ std::string MappingServer::statusz_json() const {
   const auto u64 = [](std::uint64_t v) { return std::to_string(v); };
   const ServerStats s = stats();
   const obs::BuildInfo& build = obs::build_info();
-  const auto& config = registry_->config();
+  const MappingSession& session = genome_.session();
 
   std::string out = "{\n";
   out += "  \"build\": {\"git_sha\": " + json_string(build.git_sha) +
@@ -457,37 +419,16 @@ std::string MappingServer::statusz_json() const {
   out += "  \"server\": {\"port\": " + std::to_string(port()) +
          ", \"admin_port\": " + std::to_string(admin_port()) +
          ", \"protocol_version\": " + u64(kProtocolVersion) +
-         ", \"min_protocol_version\": " + u64(kMinProtocolVersion) +
          ", \"uptime_seconds\": " + json_number(uptime_.seconds()) +
          ", \"draining\": " + (stopping() ? "true" : "false") + "},\n";
   out += "  \"session\": {\"genome_bases\": " +
-         u64(default_genome_bases()) +
-         ", \"index_entries\": " + u64(default_index_entries()) +
-         ", \"threads\": " + std::to_string(config.threads) +
-         ", \"stream_batch\": " + std::to_string(config.stream_batch) + "},\n";
-  out += "  \"registry\": {\"genomes\": " +
-         u64(static_cast<std::uint64_t>(registry_->size())) +
-         ", \"resident_bytes\": " + u64(registry_->resident_bytes()) +
-         ", \"evictions_total\": " + u64(registry_->evictions()) +
-         ", \"entries\": [";
-  {
-    const auto rows = registry_->rows();
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const auto& row = rows[i];
-      if (i != 0) out += ", ";
-      out += "{\"id\": " + json_string(row.id) +
-             ", \"path\": " + json_string(row.path) +
-             ", \"resident\": " + (row.resident ? "true" : "false") +
-             ", \"from_index_file\": " +
-             (row.from_index_file ? "true" : "false") +
-             ", \"pinned\": " + (row.pinned ? "true" : "false") +
-             ", \"bytes\": " + u64(row.bytes) +
-             ", \"load_seconds\": " + json_number(row.load_seconds) +
-             ", \"active_leases\": " + u64(row.active_leases) +
-             ", \"evictions\": " + u64(row.evictions) + "}";
-    }
-  }
-  out += "]},\n";
+         u64(session.genome().num_bases()) +
+         ", \"index_entries\": " + u64(session.index().num_entries()) +
+         ", \"resident_bytes\": " + u64(genome_.resident_bytes()) +
+         ", \"index_load_seconds\": " + json_number(genome_.load_seconds()) +
+         ", \"threads\": " + std::to_string(session.config().threads) +
+         ", \"stream_batch\": " +
+         std::to_string(session.config().stream_batch) + "},\n";
   out += "  \"admission\": {\"capacity_reads\": " + u64(admission_.capacity()) +
          ", \"admitted_reads\": " + u64(admission_.admitted()) +
          ", \"admitted_reads_peak\": " + u64(admission_.peak()) +
@@ -689,8 +630,8 @@ void MappingServer::handle_connection(Socket sock, ConnectionSlot& slot) {
                           std::to_string(slot.conn_id) + "] ";
   try {
     // Handshake: HEALTH probes are answered even before HELLO (fleet
-    // supervisors need no handshake), then exactly one HELLO with a
-    // version this build can speak.
+    // supervisors need no handshake), then exactly one HELLO carrying this
+    // build's protocol version.
     std::optional<Frame> hello;
     for (;;) {
       hello = read_frame(sock, options_.max_frame_bytes,
@@ -707,30 +648,24 @@ void MappingServer::handle_connection(Socket sock, ConnectionSlot& slot) {
       return;
     }
     const auto [version, client_name] = decode_hello(hello->payload);
-    if (version < kMinProtocolVersion) {
+    if (version != kProtocolVersion) {
       send_error(sock, WireErrorCode::kBadVersion,
                  who + "unsupported protocol version " +
                      std::to_string(version) + " (server speaks " +
-                     std::to_string(kMinProtocolVersion) + ".." +
                      std::to_string(kProtocolVersion) + ")");
       linger_close(sock);
       return;
     }
-    // Negotiate down to the newer endpoint's floor: a v3 client on a v2
-    // server proceeds with v2 payload semantics.
-    const std::uint16_t agreed =
-        std::min<std::uint16_t>(version, kProtocolVersion);
+    const MappingSession& session = genome_.session();
     write_frame(sock, FrameType::kHelloOk,
-                encode_hello(agreed,
+                encode_hello(kProtocolVersion,
                              "gnumapd genome_bases=" +
-                                 std::to_string(default_genome_bases()) +
+                                 std::to_string(session.genome().num_bases()) +
                                  " index_entries=" +
-                                 std::to_string(default_index_entries()) +
-                                 " genomes=" +
-                                 std::to_string(registry_->size())),
+                                 std::to_string(session.index().num_entries())),
                 options_.io_timeout_ms, &slot.cancel);
     GNUMAP_LOG(kDebug) << "serve: conn " << slot.conn_id << " handshake ok ("
-                       << client_name << ", v" << agreed << ")";
+                       << client_name << ")";
 
     // Request loop.  Waiting for the next request honours the cancel flag
     // (the watchdog trips it on drain, eviction, or an expired deadline);
@@ -830,8 +765,6 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
                       << " req=" << digest.request_id << " trace="
                       << (digest.trace_id != 0 ? trace_id_hex(digest.trace_id)
                                                : "-")
-                      << " genome="
-                      << (digest.genome_id.empty() ? "-" : digest.genome_id)
                       << " error=" << digest.error_code
                       << " total_s=" << digest.total_seconds
                       << " admission_wait_s=" << digest.admission_wait_seconds
@@ -890,55 +823,6 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     }
   } release{*this, slot.conn_id, window};
 
-  // Resolve the genome this request maps against ("" = default).  Unknown
-  // ids are a protocol error (client bug; close).  A genome the budget
-  // cannot admit right now is a capacity signal: typed kEvicted with a
-  // retry-after hint, connection stays open, the client retries like BUSY.
-  // A damaged index file is the server's problem, not the client's.
-  fleet::GenomeLease lease;
-  try {
-    lease = registry_->acquire(begin.genome_id);
-  } catch (const fleet::UnknownGenomeError& e) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().rejected_total.inc();
-    send_error(sock, WireErrorCode::kProtocol, who + e.what());
-    return false;
-  } catch (const fleet::EvictedError& e) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().rejected_total.inc();
-    send_error(sock, WireErrorCode::kEvicted, who + e.what());
-    return true;
-  } catch (const ParseError& e) {
-    requests_failed_.fetch_add(1, std::memory_order_relaxed);
-    send_error(sock, WireErrorCode::kInternal, who + e.what());
-    return false;
-  }
-  who.insert(who.size() - 2, " genome " + lease->id);
-  digest.genome_id = lease->id;
-
-  // Per-genome admission rides on top of the global window, so one hot
-  // genome's burst cannot starve requests against the others.
-  if (!lease->admission->try_acquire(slot.conn_id, window)) {
-    requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    serve_metrics().rejected_total.inc();
-    write_frame(sock, FrameType::kBusy,
-                encode_busy(busy_retry_hint(),
-                            "genome \"" + lease->id +
-                                "\" admission window full (" +
-                                std::to_string(lease->admission->admitted()) +
-                                "/" +
-                                std::to_string(lease->admission->capacity()) +
-                                " reads in flight)"),
-                options_.io_timeout_ms, &slot.cancel);
-    return true;
-  }
-  struct GenomeRelease {
-    AdmissionController& admission;
-    int conn_id;
-    std::uint64_t window;
-    ~GenomeRelease() { admission.release(conn_id, window); }
-  } genome_release{*lease->admission, slot.conn_id, window};
-
   // Effective deadline: the tighter of the server's own cap and what the
   // client asked for in MAP_BEGIN (0 = no client deadline).
   int effective_timeout_ms = options_.request_timeout_ms;
@@ -974,7 +858,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
   obs::TraceSpan span("serve_request", "serve", "conn",
                       static_cast<double>(slot.conn_id), "req",
                       static_cast<double>(req_id));
-  // Tag the span with the client's trace id (protocol v3) so
+  // Tag the span with the client's trace id so
   // scripts/merge_traces.py can splice client and server timelines.
   span.set_id(begin.trace_id);
 
@@ -987,7 +871,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
                         "shard-partials requests cannot also request SAM");
       }
       MapStats shard_stats;
-      handle_shard_map(sock, slot, lease, shard_stats, effective_timeout_ms);
+      handle_shard_map(sock, slot, shard_stats, effective_timeout_ms);
       reads_total_.fetch_add(shard_stats.reads_total,
                              std::memory_order_relaxed);
       digest.reads_total = shard_stats.reads_total;
@@ -1089,7 +973,8 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     // answered with MAP_DONE.  With badbit in the exception mask, getline
     // rethrows the original exception and the typed-error paths below apply.
     fastq_text.exceptions(std::ios::badbit);
-    FastqReadStream reads(fastq_text, lease->session->config().stream_batch,
+    const MappingSession& session = genome_.session();
+    FastqReadStream reads(fastq_text, session.config().stream_batch,
                           phred_offset, "<wire>");
 
     FrameSinkBuf sam_sink(sock, FrameType::kResultSam,
@@ -1098,7 +983,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     std::ostream sam_stream(&sam_sink);
 
     const PipelineResult result =
-        lease->session->run(reads, nullptr, want_sam ? &sam_stream : nullptr);
+        session.run(reads, nullptr, want_sam ? &sam_stream : nullptr);
     if (want_sam) {
       sam_sink.flush_frames();
       sam_sink.rethrow_if_failed();
@@ -1141,9 +1026,9 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
                              kernel_seconds / 1e9
                        : 0.0;
 
-    // MAP_DONE: the per-stage timing summary mirrors the digest, so a v3
+    // MAP_DONE: the per-stage timing summary mirrors the digest, so a
     // client sees where its request's time went without scraping anything.
-    // v2 clients parse key=value lines and ignore keys they don't know.
+    // Clients parse key=value lines and ignore keys they don't know.
     std::string done;
     done += u64_kv("reads_total", result.stats.reads_total);
     done += u64_kv("reads_mapped", result.stats.reads_mapped);
@@ -1158,8 +1043,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     done += dbl_kv("decode_seconds", digest.decode_seconds);
     done += dbl_kv("map_stage_seconds", digest.map_stage_seconds);
     // drain_seconds (the format+splice sum) predates the worker-format
-    // refactor; v2/v3 clients already parse it, so it stays alongside the
-    // split keys.
+    // refactor; it stays alongside the split keys for existing dashboards.
     done += dbl_kv("drain_seconds", digest.drain_seconds());
     done += dbl_kv("format_seconds", digest.format_seconds);
     done += dbl_kv("splice_seconds", digest.splice_seconds);
@@ -1169,8 +1053,7 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
     done += u64_kv("phmm_cells", digest.phmm_cells);
     done += dbl_kv("gcups", digest.gcups);
     done += u64_kv("fp32_recomputed", digest.fp32_recomputed);
-    done += "genome_id=" + lease->id + "\n";
-    done += dbl_kv("index_load_seconds", lease->index_load_seconds);
+    done += dbl_kv("index_load_seconds", genome_.load_seconds());
     if (begin.trace_id != 0) {
       done += "trace_id=" + trace_id_hex(begin.trace_id) + "\n";
       done += "parent_span_id=" + trace_id_hex(begin.parent_span_id) + "\n";
@@ -1209,7 +1092,6 @@ bool MappingServer::handle_map(Socket& sock, ConnectionSlot& slot,
 }
 
 void MappingServer::handle_shard_map(Socket& sock, ConnectionSlot& slot,
-                                     const fleet::GenomeLease& lease,
                                      MapStats& stats,
                                      int effective_timeout_ms) {
   Timer request_timer;
@@ -1254,8 +1136,8 @@ void MappingServer::handle_shard_map(Socket& sock, ConnectionSlot& slot,
     serve_metrics().bytes_rx.inc(frame->payload.size());
 
     const std::vector<Read> reads = fleet::deserialize_reads(frame->payload);
-    const auto partials = lease->session->mapper().score_reads_raw(
-        reads, ws, stats, lease->core_begin, lease->core_end);
+    const auto partials = genome_.session().mapper().score_reads_raw(
+        reads, ws, stats, genome_.core_begin(), genome_.core_end());
     const std::string out = fleet::serialize_partials(partials);
     write_frame(sock, FrameType::kResultPartial, out, options_.io_timeout_ms,
                 &slot.cancel);
@@ -1267,10 +1149,9 @@ void MappingServer::handle_shard_map(Socket& sock, ConnectionSlot& slot,
   done += u64_kv("reads_total", stats.reads_total);
   done += u64_kv("candidates_evaluated", stats.candidates_evaluated);
   done += u64_kv("phmm_cells", stats.dp_cells);
-  done += "genome_id=" + lease->id + "\n";
-  done += dbl_kv("index_load_seconds", lease->index_load_seconds);
-  done += u64_kv("shard_core_begin", lease->core_begin);
-  done += u64_kv("shard_core_end", lease->core_end);
+  done += dbl_kv("index_load_seconds", genome_.load_seconds());
+  done += u64_kv("shard_core_begin", genome_.core_begin());
+  done += u64_kv("shard_core_end", genome_.core_end());
   write_frame(sock, FrameType::kMapDone, done, options_.io_timeout_ms,
               &slot.cancel);
 }

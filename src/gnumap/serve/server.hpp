@@ -1,16 +1,16 @@
 // The long-lived mapping server behind gnumapd.
 //
-// A MappingServer owns one MappingSession — the genome and hash index are
-// built at construction and stay hot for the process lifetime — plus a TCP
-// listener and one handler thread per connection.  Each MAP request feeds
-// the wire's READS_CHUNK frames through a ChunkSourceBuf-backed
-// FastqReadStream straight into the staged pipeline, so socket reads are
-// pulled by the pipeline's decoder with its normal backpressure, and the
-// admission window (admission.hpp) bounds total in-flight reads across all
-// concurrent requests; requests that do not fit are answered BUSY with a
-// queue-depth-scaled retry hint.  Results stream back as RESULT_* frames
-// whose concatenated bytes are identical to the offline CLI's outputs for
-// the same input.
+// A MappingServer owns one ResidentGenome — the genome and hash index are
+// built (or mmap()ed from an index file) at construction and stay hot for
+// the process lifetime — plus a TCP listener and one handler thread per
+// connection.  Each MAP request feeds the wire's READS_CHUNK frames through
+// a ChunkSourceBuf-backed FastqReadStream straight into the staged
+// pipeline, so socket reads are pulled by the pipeline's decoder with its
+// normal backpressure, and the admission window (admission.hpp) bounds
+// total in-flight reads across all concurrent requests; requests that do
+// not fit are answered BUSY with a queue-depth-scaled retry hint.  Results
+// stream back as RESULT_* frames whose concatenated bytes are identical to
+// the offline CLI's outputs for the same input.
 //
 // Robustness: malformed, corrupt (CRC), or oversized frames, FASTQ parse
 // failures, and idle peers get a typed ERROR frame and a closed connection
@@ -33,10 +33,10 @@
 // latency histogram, admitted-reads and queue-depth gauges, rejected,
 // error, eviction, corrupt-frame, and deadline-abandoned counters, bytes
 // on the wire — plus serve_request trace spans tagged with connection and
-// request ids and (protocol v3) the client's trace id.  Every finished
-// request leaves a RequestDigest (digest.hpp) in a recent-requests ring
-// and one structured request_digest log line; MAP_DONE carries the same
-// per-stage timing summary back to the client.  ServeOptions::admin_port
+// request ids and the client's trace id.  Every finished request leaves a
+// RequestDigest (digest.hpp) in a recent-requests ring and one structured
+// request_digest log line; MAP_DONE carries the same per-stage timing
+// summary back to the client.  ServeOptions::admin_port
 // (default off) additionally starts an embedded admin HTTP endpoint
 // (admin_http.hpp) serving /metrics, /healthz, /statusz, and /tracez for
 // live fleet introspection.
@@ -52,7 +52,7 @@
 
 #include "gnumap/core/config.hpp"
 #include "gnumap/core/session.hpp"
-#include "gnumap/fleet/registry.hpp"
+#include "gnumap/fleet/resident_genome.hpp"
 #include "gnumap/genome/genome.hpp"
 #include "gnumap/serve/admission.hpp"
 #include "gnumap/serve/digest.hpp"
@@ -110,17 +110,8 @@ struct ServeOptions {
   /// Most recent request digests retained for /tracez and STATS.
   std::size_t digest_ring_capacity = 256;
 
-  // --- fleet registry (multi-genome daemons; see fleet/registry.hpp) ---
-  /// Global ceiling on resident genome+index bytes across the registry
-  /// (0 = unlimited).  Exceeding it evicts idle genomes LRU-first; when
-  /// nothing can be evicted the request gets a typed kEvicted ERROR.
-  std::uint64_t registry_memory_budget_bytes = 0;
-  /// Retry hint carried by registry kEvicted ERRORs.
-  std::uint32_t evicted_retry_ms = 2'000;
-  /// Per-genome admission window in reads (0 = same as admission_reads).
-  std::uint64_t per_genome_admission_reads = 0;
   /// Shard mode: this daemon owns segment shard_index of shard_count
-  /// (shard_index < 0 = whole-genome daemon).  See fleet/registry.hpp.
+  /// (shard_index < 0 = whole-genome daemon).  See fleet/resident_genome.hpp.
   int shard_index = -1;
   int shard_count = 0;
   /// Longest read the shard overlap margin must absorb.
@@ -147,18 +138,15 @@ class MappingServer {
  public:
   /// Builds the resident session (the expensive index build happens here)
   /// and binds the listener; throws on bind failure.  `genome` must
-  /// outlive the server.  The genome is registered under the id "default"
-  /// and pinned (never evicted).
+  /// outlive the server.
   MappingServer(const Genome& genome, const PipelineConfig& config,
                 const ServeOptions& options);
 
-  /// Multi-genome daemon: one resident session per registry spec, loaded
-  /// lazily and evicted LRU-first under the memory budget.  The first spec
-  /// is the default genome (loaded eagerly so the daemon is serving-ready
-  /// when the constructor returns — the fleet instant-start contract when
-  /// the spec points at an mmap index file).
-  MappingServer(std::vector<fleet::GenomeSpec> genomes,
-                const PipelineConfig& config, const ServeOptions& options);
+  /// Serves a gnumap_index file (mmap instant start).  A file the daemon
+  /// cannot serve is refused before the listener is bound (see
+  /// fleet/resident_genome.hpp for the typed refusals).
+  MappingServer(const std::string& index_path, const PipelineConfig& config,
+                const ServeOptions& options);
   ~MappingServer();
 
   MappingServer(const MappingServer&) = delete;
@@ -184,17 +172,8 @@ class MappingServer {
     return stop_.load(std::memory_order_relaxed);
   }
 
-  /// Genome facts for the daemon's default genome, snapshotted at
-  /// startup.  The server holds no lease, so the default genome stays
-  /// evictable under a registry memory budget; bases/entries are
-  /// immutable per genome so the snapshot never goes stale.
-  std::uint64_t default_genome_bases() const { return default_genome_bases_; }
-  std::uint64_t default_index_entries() const {
-    return default_index_entries_;
-  }
-
-  /// The genome registry behind this daemon.
-  const fleet::GenomeRegistry& registry() const { return *registry_; }
+  /// The resident genome; named registry() because perfbench reads it so.
+  const fleet::ResidentGenome& registry() const { return genome_; }
 
   /// Snapshot of the rolled-up counters.
   ServerStats stats() const;
@@ -244,16 +223,14 @@ class MappingServer {
   void watchdog_loop();
   void handle_connection(Socket sock, ConnectionSlot& slot);
   /// One MAP transaction after its MAP_BEGIN frame; returns false when the
-  /// connection should close.  Resolves the genome id against the registry
-  /// (kProtocol for unknown ids, kEvicted + retry hint when the budget
-  /// refuses) and dispatches shard-partial requests to handle_shard_map.
+  /// connection should close.  Dispatches shard-partial requests to
+  /// handle_shard_map.
   bool handle_map(Socket& sock, ConnectionSlot& slot,
                   const MapBeginInfo& begin);
   /// The kFlagShardPartials request body: SHARD_READS batches scored with
   /// score_reads_raw over the shard's core diagonal range, answered with
   /// RESULT_PARTIAL frames (fleet/partials.hpp).  Runs after MAP_GO.
-  void handle_shard_map(Socket& sock, ConnectionSlot& slot,
-                        const fleet::GenomeLease& lease, MapStats& stats,
+  void handle_shard_map(Socket& sock, ConnectionSlot& slot, MapStats& stats,
                         int effective_timeout_ms);
   void send_error(Socket& sock, WireErrorCode code, const std::string& msg);
   /// Maps a watchdog cancellation on `slot` to the typed error the peer
@@ -264,13 +241,10 @@ class MappingServer {
   /// admitted, capped at busy_retry_max_ms.
   std::uint32_t busy_retry_hint() const;
 
+  MappingServer(fleet::ResidentGenome genome, const ServeOptions& options);
+
   ServeOptions options_;
-  std::unique_ptr<fleet::GenomeRegistry> registry_;
-  /// Startup snapshot of the default genome (the ctor loads it once and
-  /// releases the lease so a memory budget can still evict it later).
-  std::uint64_t default_genome_bases_ = 0;
-  std::uint64_t default_index_entries_ = 0;
-  double default_index_load_seconds_ = 0.0;
+  fleet::ResidentGenome genome_;
   std::unique_ptr<Listener> listener_;
   AdmissionController admission_;
   DigestRing digests_;

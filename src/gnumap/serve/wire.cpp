@@ -175,58 +175,27 @@ std::pair<std::uint16_t, std::string> decode_hello(std::string_view payload) {
   return {version, std::string(payload.substr(2))};
 }
 
-std::string encode_map_begin(std::uint8_t flags, std::uint32_t deadline_ms) {
-  std::string payload(1, static_cast<char>(flags));
-  put_u32(payload, deadline_ms);
-  return payload;
-}
-
-std::string encode_map_begin(const MapBeginInfo& info, std::uint16_t version) {
-  if (!info.genome_id.empty() && version < 4) {
-    throw WireError(WireErrorCode::kBadVersion,
-                    "genome id \"" + info.genome_id +
-                        "\" requires protocol v4, but the peer negotiated v" +
-                        std::to_string(version) +
-                        ": refusing to map against its default genome");
-  }
-  std::string payload = encode_map_begin(info.flags, info.deadline_ms);
-  if (version >= 3) {
-    put_u64(payload, info.trace_id);
-    put_u64(payload, info.parent_span_id);
-  }
-  if (version >= 4) {
-    if (info.genome_id.size() > 0xFFFF) {
-      throw WireError(WireErrorCode::kBadFrame, "genome id exceeds 65535 bytes");
-    }
-    put_u16(payload, static_cast<std::uint16_t>(info.genome_id.size()));
-    payload.append(info.genome_id);
-  }
+std::string encode_map_begin(const MapBeginInfo& info) {
+  std::string payload(1, static_cast<char>(info.flags));
+  put_u32(payload, info.deadline_ms);
+  put_u64(payload, info.trace_id);
+  put_u64(payload, info.parent_span_id);
   return payload;
 }
 
 MapBeginInfo decode_map_begin(std::string_view payload) {
-  if (payload.empty()) {
+  if (payload.size() != kMapBeginBytes) {
     throw WireError(WireErrorCode::kBadFrame,
-                    "MAP_BEGIN payload must carry a flags byte");
+                    "MAP_BEGIN payload is " + std::to_string(payload.size()) +
+                        " bytes; protocol v" +
+                        std::to_string(kProtocolVersion) + " sends " +
+                        std::to_string(kMapBeginBytes));
   }
   MapBeginInfo info;
   info.flags = static_cast<std::uint8_t>(payload[0]);
-  if (payload.size() >= 5) info.deadline_ms = get_u32(payload, 1);
-  if (payload.size() >= 21) {
-    info.trace_id = get_u64(payload, 5);
-    info.parent_span_id = get_u64(payload, 13);
-  }
-  if (payload.size() > 21) {
-    // v4 trailer: u16 id length + bytes (get_u16 rejects a lone 22nd byte).
-    const std::size_t id_len = get_u16(payload, 21);
-    if (23 + id_len != payload.size()) {
-      throw WireError(WireErrorCode::kBadFrame,
-                      "MAP_BEGIN genome id length " + std::to_string(id_len) +
-                          " does not match the remaining " +
-                          std::to_string(payload.size() - 23) + " bytes");
-    }
-    info.genome_id.assign(payload.substr(23, id_len));
-  }
+  info.deadline_ms = get_u32(payload, 1);
+  info.trace_id = get_u64(payload, 5);
+  info.parent_span_id = get_u64(payload, 13);
   return info;
 }
 

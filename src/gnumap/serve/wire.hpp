@@ -1,7 +1,7 @@
 // The gnumapd wire protocol: length-prefixed, CRC-checked binary frames
 // over TCP.
 //
-// Frame layout since protocol version 2 (all integers little-endian):
+// Frame layout (all integers little-endian):
 //
 //   u32 payload_length | u8 frame_type | u32 crc32 | payload bytes
 //
@@ -9,10 +9,7 @@
 // (length + type) and the payload, with the crc field itself excluded, so
 // a flipped bit anywhere in the frame — header or body — surfaces as a
 // typed kCorrupt ERROR instead of a garbage parse or a silently wrong
-// length.  v1 (no CRC field) is no longer spoken: the framing change is
-// not wire-compatible, and the HELLO version field now guards payload
-// semantics among CRC-framed versions (the server negotiates down to
-// min(client, server) and answers HELLO_OK with the agreed version).
+// length.
 //
 // A session is a version handshake followed by any number of requests:
 //
@@ -22,8 +19,8 @@
 //                              <-   HELLO_OK {u16 version, banner}
 //   MAP_BEGIN {u8 flags,       ->
 //              u32 deadline_ms,
-//              [v3: u64 trace_id,
-//               u64 parent_span_id]}
+//              u64 trace_id,
+//              u64 parent_span_id}
 //                              <-   MAP_GO | BUSY {u32 retry_ms, msg}
 //   READS_CHUNK {fastq bytes}  ->   (repeated; server pulls with
 //   ...                              backpressure — frames are only read
@@ -39,31 +36,24 @@
 //   SHUTDOWN                   ->
 //                              <-   SHUTDOWN_OK   (server then drains+exits)
 //
+// Client, server and router all ship from this repository, so there is
+// one protocol version: HELLO must carry exactly kProtocolVersion, and any
+// other version is refused with kBadVersion.  MAP_BEGIN has one fixed
+// 21-byte form; any other length is kBadFrame.
+//
 // MAP_BEGIN's deadline_ms (0 = none) is the client's overall request
 // deadline; the server propagates it into the pipeline and abandons work
-// nobody is waiting for (typed kTimeout, deadline-abandoned counter).
+// nobody is waiting for (typed kTimeout, deadline-abandoned counter).  Its
+// trace_id (0 = request not traced) and parent_span_id name the client's
+// span: the server tags its serve_request spans and request log lines with
+// the trace id and echoes both ids — plus a per-stage timing summary — in
+// MAP_DONE, so scripts/merge_traces.py can splice the client and server
+// trace files into one timeline.
 //
-// Since protocol v3 MAP_BEGIN optionally carries two trailing u64 fields:
-// a client-generated trace id (0 = request not traced) and the client's
-// parent span id.  The server tags its serve_request spans and request log
-// lines with the trace id and echoes both ids — plus a per-stage timing
-// summary — in MAP_DONE, so scripts/merge_traces.py can splice the client
-// and server trace files into one timeline.  The fields ride the existing
-// HELLO version negotiation: a v2 peer sends/accepts the 5-byte payload
-// and everything else is unchanged, so v2 interop needs no special cases
-// beyond decode_map_begin's length tolerance.
-//
-// Since protocol v4 MAP_BEGIN additionally carries a genome id (u16 length
-// + bytes) selecting one of the daemon's resident genomes; an empty id —
-// and every pre-v4 payload — means the daemon's default genome.  Unknown
-// ids are answered with a kProtocol ERROR; a genome the registry evicted
-// to stay under its memory budget is answered with a kEvicted ERROR whose
-// message carries "retry_after_ms=N" (the connection stays open, and the
-// client retries MAP_BEGIN like a BUSY since no reads were uploaded yet).
-// v4 also adds the fleet shard frames: a router MAP_BEGINs with the
-// kFlagShardPartials flag, streams SHARD_READS frames (each a serialized
-// read batch), and receives one RESULT_PARTIAL per batch carrying the
-// shard's pre-epilogue candidate scores for merging (fleet/partials.hpp).
+// Fleet shard frames: a router MAP_BEGINs with the kFlagShardPartials
+// flag, streams SHARD_READS frames (each a serialized read batch), and
+// receives one RESULT_PARTIAL per batch carrying the shard's pre-epilogue
+// candidate scores for merging (fleet/partials.hpp).
 //
 // Any violation — unknown type, oversized frame, CRC mismatch, FASTQ parse
 // failure, timeout — is answered with ERROR {u16 code, msg} and the
@@ -88,15 +78,8 @@
 
 namespace gnumap::serve {
 
-/// v4: MAP_BEGIN genome id (multi-genome registry) + fleet shard frames
-/// (SHARD_READS / RESULT_PARTIAL).  (v3 added MAP_BEGIN trace ids + the
-/// MAP_DONE timing summary; v2 introduced CRC32 frame integrity, the
-/// MAP_BEGIN deadline, and HEALTH probes.)
-inline constexpr std::uint16_t kProtocolVersion = 4;
-/// Oldest version this build still speaks (v1 framing had no CRC field
-/// and cannot be parsed by a CRC-framed endpoint).  v2 peers negotiate
-/// down via HELLO and simply omit the v3 trace fields.
-inline constexpr std::uint16_t kMinProtocolVersion = 2;
+/// The one protocol version spoken; HELLO must match it exactly.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 
 /// Frame header bytes on the wire: u32 length + u8 type + u32 crc32.
 inline constexpr std::size_t kFrameHeaderBytes = 9;
@@ -111,18 +94,17 @@ enum class FrameType : std::uint8_t {
   kHello = 0x01,
   kHelloOk = 0x02,
   kMapBegin = 0x10,   ///< payload: u8 flags + u32 client deadline_ms
-                      ///< (+ u64 trace_id + u64 parent_span_id since v3;
-                      ///< + u16 genome id length + bytes since v4)
+                      ///< + u64 trace_id + u64 parent_span_id
   kReadsChunk = 0x11, ///< payload: raw FASTQ text
   kMapEnd = 0x12,
   kMapGo = 0x13,      ///< admission granted; send READS_CHUNK frames
   kShardReads = 0x14, ///< payload: serialized read batch (fleet router ->
-                      ///< shard; requires kFlagShardPartials, v4)
+                      ///< shard; requires kFlagShardPartials)
   kResultTsv = 0x20,  ///< payload: SNP TSV bytes (chunked)
   kResultSam = 0x21,  ///< payload: SAM bytes (chunked)
   kMapDone = 0x22,    ///< payload: key=value lines (reads_total, ...)
   kResultPartial = 0x24, ///< payload: serialized per-read candidate
-                         ///< partials for one SHARD_READS batch (v4)
+                         ///< partials for one SHARD_READS batch
   kStats = 0x30,
   kStatsOk = 0x31,    ///< payload: key=value lines
   kHealth = 0x32,     ///< readiness probe; allowed even before HELLO
@@ -136,7 +118,7 @@ enum class FrameType : std::uint8_t {
 /// MAP_BEGIN flag bits.
 inline constexpr std::uint8_t kFlagWantSam = 0x01;
 inline constexpr std::uint8_t kFlagPhred64 = 0x02;
-/// Shard-partial mode (v4): the peer is a fleet router; reads arrive as
+/// Shard-partial mode: the peer is a fleet router; reads arrive as
 /// SHARD_READS frames and results leave as RESULT_PARTIAL frames instead
 /// of TSV/SAM.  Mutually exclusive with kFlagWantSam.
 inline constexpr std::uint8_t kFlagShardPartials = 0x04;
@@ -145,7 +127,7 @@ enum class WireErrorCode : std::uint16_t {
   kBadFrame = 1,      ///< malformed frame or unknown frame type
   kBadVersion = 2,    ///< HELLO version mismatch
   kProtocol = 3,      ///< well-formed frame at the wrong point
-  kTooLarge = 4,      ///< frame exceeds the negotiated maximum
+  kTooLarge = 4,      ///< frame exceeds the configured maximum
   kParse = 5,         ///< FASTQ payload failed to parse
   kTimeout = 6,       ///< peer idle past the per-request deadline
   kShuttingDown = 7,  ///< server is draining; retry elsewhere/later
@@ -210,28 +192,20 @@ std::string trace_id_hex(std::uint64_t id);
 std::string encode_hello(std::uint16_t version, std::string_view text);
 std::pair<std::uint16_t, std::string> decode_hello(std::string_view payload);
 
-/// Decoded MAP_BEGIN payload.  The trace fields are zero when the peer
-/// sent a pre-v3 payload (or chose not to trace the request).
+/// MAP_BEGIN payload.
 struct MapBeginInfo {
   std::uint8_t flags = 0;
   std::uint32_t deadline_ms = 0;    ///< 0 = no client deadline
   std::uint64_t trace_id = 0;       ///< 0 = request not traced
-  std::uint64_t parent_span_id = 0; ///< client's enclosing span (v3)
-  std::string genome_id;            ///< v4; empty = the default genome
+  std::uint64_t parent_span_id = 0; ///< client's enclosing span
 };
 
-/// MAP_BEGIN, v2 form: u8 flags + u32 deadline_ms (0 = no client deadline).
-std::string encode_map_begin(std::uint8_t flags, std::uint32_t deadline_ms);
-/// MAP_BEGIN, versioned form: encodes the fields the negotiated `version`
-/// carries — flags+deadline always, the trace ids at v3+, the genome id
-/// (u16 length + bytes) at v4+.  Throws WireError(kBadVersion) if
-/// `info.genome_id` is non-empty but `version` < 4: silently dropping the
-/// id would map against the wrong genome.
-std::string encode_map_begin(const MapBeginInfo& info,
-                             std::uint16_t version = kProtocolVersion);
-/// Accepts every historical form: 1-byte flags-only (hand-rolled peers),
-/// the 5-byte v2 payload, the 21-byte v3 payload, and the 23+-byte v4
-/// payload; absent fields decode to zero / empty.
+/// MAP_BEGIN's one form: u8 flags + u32 deadline_ms + u64 trace_id + u64
+/// parent_span_id.
+inline constexpr std::size_t kMapBeginBytes = 21;
+
+std::string encode_map_begin(const MapBeginInfo& info);
+/// Throws WireError(kBadFrame) unless the payload is kMapBeginBytes long.
 MapBeginInfo decode_map_begin(std::string_view payload);
 
 /// BUSY: u32 retry_after_ms + message.

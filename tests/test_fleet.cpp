@@ -1,9 +1,9 @@
 // Tests for the fleet subsystem: the mmap instant-start index file
 // (round-trip bit-identity of seed hits, typed errors for every kind of
-// file damage), the multi-genome registry (LRU eviction under a memory
-// budget, typed EvictedError with a retry hint, unknown ids), the wire
-// kEvicted retry loop end to end over real sockets, and the scatter/
-// gather shard router's byte-identity with a single whole-genome daemon.
+// file damage), a daemon serving an index file (byte identity with the
+// offline run, and typed refusals for a file it cannot serve), and the
+// scatter/gather shard router's byte-identity with a single whole-genome
+// daemon.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,16 +12,14 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "gnumap/core/pipeline.hpp"
 #include "gnumap/fleet/index_file.hpp"
 #include "gnumap/fleet/partials.hpp"
-#include "gnumap/fleet/registry.hpp"
+#include "gnumap/fleet/resident_genome.hpp"
 #include "gnumap/fleet/router.hpp"
-#include "gnumap/genome/sequence.hpp"
-#include "gnumap/io/fasta.hpp"
+#include "gnumap/genome/partition.hpp"
 #include "gnumap/io/fastq.hpp"
 #include "gnumap/io/read_codec.hpp"
 #include "gnumap/io/read_stream.hpp"
@@ -60,22 +58,6 @@ Genome make_reference(std::uint64_t length, std::uint64_t seed = 42) {
   options.repeat_fraction = 0.0;
   options.n_fraction = 0.0;
   return generate_reference(options);
-}
-
-/// Renders a genome back to FASTA on disk (registry specs load by path).
-std::string write_genome_fasta(const Genome& genome, const std::string& path) {
-  std::vector<FastaRecord> records;
-  const auto data = genome.data();
-  for (std::uint32_t c = 0; c < genome.num_contigs(); ++c) {
-    std::string seq;
-    const GenomePos start = genome.contig_start(c);
-    for (std::uint64_t i = 0; i < genome.contig_size(c); ++i) {
-      seq.push_back(decode_base(data[start + i]));
-    }
-    records.emplace_back(genome.contig_name(c), std::move(seq));
-  }
-  write_fasta_file(path, records);
-  return path;
 }
 
 struct Workload {
@@ -300,178 +282,6 @@ TEST_F(IndexFileDamage, CorruptPayloadCaughtByVerify) {
 }
 
 // ---------------------------------------------------------------------------
-// Registry: LRU eviction and typed kEvicted
-
-TEST(Registry, LruEvictionAndEvictedError) {
-  const Genome ga = make_reference(16000, /*seed=*/1);
-  const Genome gb = make_reference(16000, /*seed=*/2);
-  std::vector<fleet::GenomeSpec> specs(2);
-  specs[0].id = "alpha";
-  specs[0].path = write_genome_fasta(ga, temp_path("fleet_alpha.fa"));
-  specs[1].id = "beta";
-  specs[1].path = write_genome_fasta(gb, temp_path("fleet_beta.fa"));
-
-  PipelineConfig config = small_config();
-
-  // Probe pass without a budget to learn each genome's resident bytes.
-  std::uint64_t bytes_a = 0, bytes_b = 0;
-  {
-    fleet::GenomeRegistry probe(specs, config, fleet::RegistryOptions{});
-    probe.acquire("alpha");
-    probe.acquire("beta");
-    for (const auto& row : probe.rows()) {
-      (row.id == "alpha" ? bytes_a : bytes_b) = row.bytes;
-    }
-  }
-  ASSERT_GT(bytes_a, 0u);
-  ASSERT_GT(bytes_b, 0u);
-
-  // Budget admits either genome alone but never both.
-  fleet::RegistryOptions options;
-  options.memory_budget_bytes = std::max(bytes_a, bytes_b) + 1;
-  options.evicted_retry_ms = 1234;
-  fleet::GenomeRegistry registry(specs, config, options);
-
-  EXPECT_THROW(registry.acquire("nope"), fleet::UnknownGenomeError);
-
-  fleet::GenomeLease lease_a = registry.acquire("alpha");
-  EXPECT_EQ(registry.resident_bytes(), bytes_a);
-
-  // alpha is held by a live lease, so beta cannot be admitted: typed
-  // EvictedError carrying the configured retry hint, not a hang or an
-  // eviction under a running request.
-  try {
-    registry.acquire("beta");
-    FAIL() << "acquire(beta) should have thrown EvictedError";
-  } catch (const fleet::EvictedError& e) {
-    EXPECT_EQ(e.retry_after_ms(), 1234u);
-  }
-  EXPECT_EQ(registry.evictions(), 0u);
-
-  // Once the lease drops, beta evicts idle alpha (LRU) and loads.
-  lease_a.reset();
-  fleet::GenomeLease lease_b = registry.acquire("beta");
-  EXPECT_EQ(lease_b->id, "beta");
-  EXPECT_EQ(registry.evictions(), 1u);
-  EXPECT_EQ(registry.resident_bytes(), bytes_b);
-  for (const auto& row : registry.rows()) {
-    if (row.id == "alpha") {
-      EXPECT_FALSE(row.resident);
-      EXPECT_EQ(row.evictions, 1u);
-    }
-    if (row.id == "beta") EXPECT_TRUE(row.resident);
-  }
-
-  // "" resolves to the default (first spec) and swaps beta back out.
-  lease_b.reset();
-  fleet::GenomeLease lease_default = registry.acquire("");
-  EXPECT_EQ(lease_default->id, "alpha");
-  EXPECT_EQ(registry.evictions(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Wire: kEvicted answers retry like BUSY
-
-TEST(FleetServe, EvictedAnswerRetriesAndSucceeds) {
-  const Workload wa = make_workload(16000);
-  Workload wb;
-  wb.ref = make_reference(16000, /*seed=*/7);
-  ReadSimOptions sim_options;
-  sim_options.coverage = 4.0;
-  wb.reads = strip_metadata(simulate_reads(wb.ref, sim_options));
-  std::ostringstream fastq_b;
-  write_fastq(fastq_b, wb.reads);
-  wb.fastq = fastq_b.str();
-
-  std::vector<fleet::GenomeSpec> specs(2);
-  specs[0].id = "alpha";
-  specs[0].path = write_genome_fasta(wa.ref, temp_path("fleet_srv_a.fa"));
-  specs[1].id = "beta";
-  specs[1].path = write_genome_fasta(wb.ref, temp_path("fleet_srv_b.fa"));
-
-  PipelineConfig config = small_config();
-
-  std::uint64_t budget = 0;
-  {
-    fleet::GenomeRegistry probe(specs, config, fleet::RegistryOptions{});
-    probe.acquire("alpha");
-    probe.acquire("beta");
-    for (const auto& row : probe.rows()) {
-      budget = std::max(budget, row.bytes);
-    }
-  }
-
-  ServeOptions options = test_options();
-  options.registry_memory_budget_bytes = budget + 1;
-  options.evicted_retry_ms = 50;
-  MappingServer server(specs, config, options);
-  server.start();
-
-  // A raw v4 request pins alpha mid-request: MAP_BEGIN + MAP_GO, then the
-  // upload stalls while the lease is held.
-  Socket raw = serve::connect_tcp("127.0.0.1", server.port(), 5'000);
-  serve::write_frame(raw, FrameType::kHello,
-                     serve::encode_hello(serve::kProtocolVersion, "pin-alpha"),
-                     5'000);
-  auto hello = serve::read_frame(raw, serve::kDefaultMaxFrameBytes, 5'000);
-  ASSERT_TRUE(hello.has_value());
-  ASSERT_EQ(hello->type, FrameType::kHelloOk);
-  serve::MapBeginInfo begin;
-  begin.genome_id = "alpha";
-  serve::write_frame(raw, FrameType::kMapBegin, serve::encode_map_begin(begin),
-                     5'000);
-  auto go = serve::read_frame(raw, serve::kDefaultMaxFrameBytes, 5'000);
-  ASSERT_TRUE(go.has_value());
-  ASSERT_EQ(go->type, FrameType::kMapGo);
-
-  // Meanwhile a client asks for beta: the budget cannot admit it while
-  // alpha is leased, so the server answers kEvicted + retry hint and the
-  // client backs off and retries — like BUSY, nothing was uploaded yet.
-  ClientOptions client_options;
-  client_options.port = server.port();
-  client_options.genome_id = "beta";
-  client_options.busy_retries = 100;
-  client_options.backoff_base_ms = 10;
-  client_options.backoff_max_ms = 50;
-  serve::MapOutcome outcome;
-  std::string tsv_text;
-  std::thread mapper([&] {
-    MappingClient client(client_options);
-    std::istringstream fastq(wb.fastq);
-    std::ostringstream tsv;
-    outcome = client.map(fastq, tsv);
-    tsv_text = tsv.str();
-  });
-
-  // Hold alpha long enough for at least one kEvicted round trip, then
-  // finish the pinned request so beta can evict it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  serve::write_frame(raw, FrameType::kMapEnd, "", 5'000);
-  for (;;) {
-    auto frame = serve::read_frame(raw, serve::kDefaultMaxFrameBytes, 30'000);
-    ASSERT_TRUE(frame.has_value()) << "pinned request died before MAP_DONE";
-    if (frame->type == FrameType::kMapDone) break;
-  }
-  raw.close();
-
-  mapper.join();
-  EXPECT_FALSE(outcome.busy);
-  EXPECT_GE(outcome.busy_answers, 1) << "client never saw a kEvicted answer";
-  EXPECT_EQ(outcome.stats.at("genome_id"), "beta");
-
-  // The retried request's calls match the offline pipeline on beta.
-  VectorReadStream reads(wb.reads, config.stream_batch);
-  const PipelineResult offline =
-      run_pipeline_stream(wb.ref, reads, config, nullptr, nullptr);
-  std::ostringstream expected;
-  write_snps_tsv(expected, offline.calls);
-  EXPECT_EQ(tsv_text, expected.str());
-
-  server.request_stop();
-  server.wait();
-}
-
-// ---------------------------------------------------------------------------
 // Read codec: one wire form, errors typed for each caller
 
 /// Expects `fn` to throw WireError(kBadFrame).
@@ -646,38 +456,148 @@ TEST(Router, ScatterGatherIsByteIdenticalToSingleDaemon) {
   single.wait();
 }
 
+TEST(Router, RejectsOlderAndNewerProtocolVersions) {
+  // The router answers HELLO itself, before any fan-out, so a backend
+  // that is never dialled suffices.
+  const Genome genome = make_reference(8000);
+  fleet::RouterOptions router_options;
+  router_options.backends.push_back({"127.0.0.1", 1});
+  fleet::RouterServer router(genome, small_config(), router_options);
+  router.start();
+
+  for (const std::uint16_t version :
+       {static_cast<std::uint16_t>(serve::kProtocolVersion - 1),
+        static_cast<std::uint16_t>(serve::kProtocolVersion + 1)}) {
+    Socket sock = serve::connect_tcp("127.0.0.1", router.port(), 5'000);
+    serve::write_frame(sock, FrameType::kHello,
+                       serve::encode_hello(version, "other"), 5'000);
+    auto reply = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
+    ASSERT_TRUE(reply.has_value()) << "HELLO v" << version;
+    ASSERT_EQ(reply->type, FrameType::kError) << "HELLO v" << version;
+    EXPECT_EQ(serve::decode_error(reply->payload).first,
+              WireErrorCode::kBadVersion)
+        << "HELLO v" << version;
+  }
+
+  // The one version is accepted.
+  ClientOptions client_options;
+  client_options.port = router.port();
+  MappingClient client(client_options);
+  EXPECT_NE(client.banner().find("gnumapd-router"), std::string::npos);
+  client.close();
+
+  router.request_stop();
+  router.wait();
+}
+
 // ---------------------------------------------------------------------------
-// Server: registry facts on the wire
+// Server: one genome from an index file
 
 TEST(FleetServe, StatsCarryRegistryAndLoadTime) {
+  // gnumapd --index: the daemon mmaps a gnumap_index file instead of
+  // building the index, and must answer byte-identically to the offline
+  // run over the same reference.
   const Workload w = make_workload(16000);
-  PipelineConfig config = small_config();
-  std::vector<fleet::GenomeSpec> specs(1);
-  specs[0].id = "main";
-  specs[0].path = write_genome_fasta(w.ref, temp_path("fleet_stats.fa"));
+  const PipelineConfig config = small_config();
+  const OfflineResult offline = offline_outputs(w, config);
+  const std::string path = temp_path("fleet_serve.gidx");
+  fleet::write_index_file(path, w.ref, HashIndex(w.ref, config.index));
 
-  MappingServer server(specs, config, test_options());
+  MappingServer server(path, config, test_options());
   server.start();
 
   ClientOptions client_options;
   client_options.port = server.port();
   MappingClient client(client_options);
-  const std::string stats = client.stats();
-  EXPECT_NE(stats.find("registry_genomes=1"), std::string::npos) << stats;
-  EXPECT_NE(stats.find("registry_resident_bytes="), std::string::npos);
-  EXPECT_NE(stats.find("registry_evictions_total=0"), std::string::npos);
-  EXPECT_NE(stats.find("index_load_seconds="), std::string::npos);
-
-  // MAP_DONE names the genome that served the request.
   std::istringstream fastq(w.fastq);
-  std::ostringstream tsv;
-  const auto outcome = client.map(fastq, tsv);
+  std::ostringstream tsv, sam;
+  const auto outcome = client.map(fastq, tsv, &sam);
   ASSERT_FALSE(outcome.busy);
-  EXPECT_EQ(outcome.stats.at("genome_id"), "main");
+  EXPECT_EQ(tsv.str(), offline.tsv);
+  EXPECT_EQ(sam.str(), offline.sam);
   EXPECT_NE(outcome.stats.find("index_load_seconds"), outcome.stats.end());
+
+  // STATS carries the cold-start facts: the mapped file's size and how
+  // long the load took.
+  const auto stats = serve::parse_kv_lines(client.stats());
+  EXPECT_EQ(stats.at("resident_bytes"), std::to_string(fs::file_size(path)));
+  EXPECT_EQ(server.registry().resident_bytes(), fs::file_size(path));
+  EXPECT_NE(stats.find("index_load_seconds"), stats.end());
 
   server.request_stop();
   server.wait();
+}
+
+/// A port nothing listens on right now.
+std::uint16_t free_port() {
+  serve::Listener probe(0, /*bind_any=*/false);
+  return probe.port();
+}
+
+/// Serving `index_path` must fail with a typed ConfigError naming
+/// `needle`, before the daemon binds its port: nothing answers on it
+/// afterwards, and the port is free to bind again.
+void expect_refused(const std::string& index_path,
+                    const PipelineConfig& config, ServeOptions options,
+                    const std::string& needle) {
+  options.port = free_port();
+  try {
+    MappingServer server(index_path, config, options);
+    ADD_FAILURE() << "served an index file it should refuse";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(serve::connect_tcp("127.0.0.1", options.port, 1'000),
+               WireError);
+  EXPECT_NO_THROW(serve::Listener(options.port, /*bind_any=*/false));
+}
+
+TEST(FleetServe, IndexFileWithOtherKIsRefused) {
+  const Genome genome = make_reference(8000);
+  PipelineConfig config = small_config();
+  const std::string path = temp_path("fleet_k9.gidx");
+  fleet::write_index_file(path, genome, HashIndex(genome, config.index));
+
+  config.index.k = 10;
+  expect_refused(path, config, test_options(), "built with k=9");
+}
+
+TEST(FleetServe, IndexFileForAnotherShardIsRefused) {
+  const Genome genome = make_reference(16000);
+  const PipelineConfig config = small_config();
+  ServeOptions options = test_options();
+  options.shard_count = 2;
+  const auto segments = partition_genome(
+      genome, 2, fleet::shard_margin(config, options.shard_max_read_len));
+  const std::string path = temp_path("fleet_shard0of2.gidx");
+  fleet::write_index_file(
+      path, genome,
+      HashIndex::build_shard(genome, config.index, segments[0].store_begin,
+                             segments[0].store_end),
+      segments[0].store_begin, segments[0].store_end);
+
+  // Its own shard serves it...
+  options.shard_index = 0;
+  {
+    MappingServer shard0(path, config, options);
+    EXPECT_EQ(shard0.registry().core_begin(), segments[0].core_begin);
+    EXPECT_EQ(shard0.registry().core_end(), segments[0].core_end);
+  }
+  // ...the other shard refuses it.
+  options.shard_index = 1;
+  expect_refused(path, config, options, "but shard 1/2 stores");
+}
+
+TEST(FleetServe, ShardIndexFileOnWholeGenomeDaemonIsRefused) {
+  const Genome genome = make_reference(8000);
+  const PipelineConfig config = small_config();
+  const std::string path = temp_path("fleet_shard_whole.gidx");
+  fleet::write_index_file(
+      path, genome, HashIndex::build_shard(genome, config.index, 1024, 6144),
+      1024, 6144);
+
+  expect_refused(path, config, test_options(), "is a shard index");
 }
 
 }  // namespace

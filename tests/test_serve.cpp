@@ -4,7 +4,7 @@
 // disconnect), typed errors for malformed traffic, BUSY under a full
 // admission window, bounded in-flight reads, graceful shutdown, the
 // gnumap_serve_* metrics export, the embedded admin HTTP endpoint, and
-// protocol-v3 trace-id propagation (with v2 interop).
+// trace-id propagation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -185,66 +185,35 @@ TEST(Wire, IntegerCodecRoundTrips) {
   EXPECT_THROW(serve::get_u64(payload, 7), WireError);   // out of bounds
 }
 
-TEST(Wire, MapBeginCodecAcceptsEveryHistoricalForm) {
-  // v3: flags + deadline + trace id + parent span id, 21 bytes.
+TEST(Wire, MapBeginCodecRoundTripsTheOneForm) {
+  // flags + deadline + trace id + parent span id, 21 bytes.
   serve::MapBeginInfo info;
   info.flags = 0x01;
   info.deadline_ms = 12'345;
   info.trace_id = 0xDEADBEEFCAFEF00Dull;
   info.parent_span_id = 0x0123456789ABCDEFull;
-  const std::string v3 = serve::encode_map_begin(info, /*version=*/3);
-  EXPECT_EQ(v3.size(), 21u);
-  const serve::MapBeginInfo back = serve::decode_map_begin(v3);
+  const std::string payload = serve::encode_map_begin(info);
+  EXPECT_EQ(payload.size(), serve::kMapBeginBytes);
+  EXPECT_EQ(payload.size(), 21u);
+  EXPECT_EQ(payload.substr(0, 5), std::string("\x01\x39\x30\x00\x00", 5));
+  const serve::MapBeginInfo back = serve::decode_map_begin(payload);
   EXPECT_EQ(back.flags, info.flags);
   EXPECT_EQ(back.deadline_ms, info.deadline_ms);
   EXPECT_EQ(back.trace_id, info.trace_id);
   EXPECT_EQ(back.parent_span_id, info.parent_span_id);
-  EXPECT_TRUE(back.genome_id.empty());
 
-  // v4: the same payload plus a u16 genome-id length and the id bytes;
-  // an empty id is just the two-byte length trailer (23 bytes total).
-  const std::string v4_plain = serve::encode_map_begin(info);
-  EXPECT_EQ(v4_plain.size(), 23u);
-  EXPECT_EQ(v4_plain.substr(0, 21), v3);
-  EXPECT_TRUE(serve::decode_map_begin(v4_plain).genome_id.empty());
-
-  info.genome_id = "hg38";
-  const std::string v4 = serve::encode_map_begin(info);
-  EXPECT_EQ(v4.size(), 23u + 4u);
-  const serve::MapBeginInfo v4_back = serve::decode_map_begin(v4);
-  EXPECT_EQ(v4_back.genome_id, "hg38");
-  EXPECT_EQ(v4_back.trace_id, info.trace_id);
-  // A non-empty genome id cannot be narrowed onto a v3 wire — dropping
-  // it silently would map against the wrong genome.
-  EXPECT_THROW(serve::encode_map_begin(info, /*version=*/3),
-               serve::WireError);
-  // A length trailer that disagrees with the remaining bytes is typed.
-  EXPECT_THROW(serve::decode_map_begin(v4.substr(0, v4.size() - 1)),
-               serve::WireError);
-  info.genome_id.clear();
-
-  // v2: flags + deadline only; the trace fields decode to zero.
-  const std::string v2 = serve::encode_map_begin(0x01, 12'345);
-  EXPECT_EQ(v2.size(), 5u);
-  const serve::MapBeginInfo v2_back = serve::decode_map_begin(v2);
-  EXPECT_EQ(v2_back.flags, 0x01);
-  EXPECT_EQ(v2_back.deadline_ms, 12'345u);
-  EXPECT_EQ(v2_back.trace_id, 0u);
-  EXPECT_EQ(v2_back.parent_span_id, 0u);
-
-  // A v3 payload with zeroed trace fields is byte-identical to v2 plus
-  // sixteen zero bytes — nothing version-dependent hides in the prefix.
-  serve::MapBeginInfo plain;
-  plain.flags = 0x01;
-  plain.deadline_ms = 12'345;
-  EXPECT_EQ(serve::encode_map_begin(plain).substr(0, 5), v2);
-
-  // 1-byte flags-only form from hand-rolled peers.
-  const serve::MapBeginInfo tiny =
-      serve::decode_map_begin(std::string(1, '\x02'));
-  EXPECT_EQ(tiny.flags, 0x02);
-  EXPECT_EQ(tiny.deadline_ms, 0u);
-  EXPECT_EQ(tiny.trace_id, 0u);
+  // Every other length is a malformed frame: the historical 1-byte and
+  // 5-byte forms, one byte short, and the old genome-id trailers.
+  for (const std::size_t size : {0u, 1u, 5u, 20u, 22u, 23u}) {
+    std::string wrong = payload;
+    wrong.resize(size, '\0');
+    try {
+      serve::decode_map_begin(wrong);
+      ADD_FAILURE() << size << "-byte MAP_BEGIN decoded";
+    } catch (const WireError& e) {
+      EXPECT_EQ(e.code(), WireErrorCode::kBadFrame) << size;
+    }
+  }
 
   EXPECT_EQ(serve::trace_id_hex(0xDEADBEEFCAFEF00Dull), "deadbeefcafef00d");
   EXPECT_EQ(serve::trace_id_hex(0x5ull), "0000000000000005");
@@ -365,8 +334,8 @@ TEST(Serve, ConcurrentClientsWithMidStreamDisconnect) {
   std::thread disconnector([&] {
     try {
       Socket sock = raw_hello(server.port());
-      serve::write_frame(sock, FrameType::kMapBegin, std::string(1, '\0'),
-                         5'000);
+      serve::write_frame(sock, FrameType::kMapBegin,
+                         serve::encode_map_begin({}), 5'000);
       auto go = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
       if (go.has_value() && go->type == FrameType::kMapGo) {
         serve::write_frame(sock, FrameType::kReadsChunk,
@@ -433,29 +402,16 @@ TEST(Serve, RejectsWrongProtocolVersion) {
   MappingServer server(w.ref, serve_config(), test_options());
   server.start();
 
-  {
-    // v1 framing had no CRC and cannot be spoken; the version field draws
-    // a typed refusal.
+  // One version is spoken: an older client and a newer one are both
+  // refused with a typed kBadVersion, never negotiated.
+  for (const std::uint16_t version :
+       {static_cast<std::uint16_t>(serve::kProtocolVersion - 1),
+        static_cast<std::uint16_t>(serve::kProtocolVersion + 1)}) {
     Socket sock = serve::connect_tcp("127.0.0.1", server.port(), 5'000);
     serve::write_frame(sock, FrameType::kHello,
-                       serve::encode_hello(serve::kMinProtocolVersion - 1,
-                                           "old"),
-                       5'000);
-    EXPECT_EQ(expect_error_frame(sock), WireErrorCode::kBadVersion);
-  }
-  {
-    // A NEWER client is negotiated down to the server's version, not
-    // refused.
-    Socket sock = serve::connect_tcp("127.0.0.1", server.port(), 5'000);
-    serve::write_frame(sock, FrameType::kHello,
-                       serve::encode_hello(serve::kProtocolVersion + 1,
-                                           "new"),
-                       5'000);
-    auto reply = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
-    ASSERT_TRUE(reply.has_value());
-    ASSERT_EQ(reply->type, FrameType::kHelloOk);
-    EXPECT_EQ(serve::decode_hello(reply->payload).first,
-              serve::kProtocolVersion);
+                       serve::encode_hello(version, "other"), 5'000);
+    EXPECT_EQ(expect_error_frame(sock), WireErrorCode::kBadVersion)
+        << "HELLO v" << version;
   }
 
   server.request_stop();
@@ -478,7 +434,7 @@ TEST(Serve, RejectsNonHelloFirstFrameAndUnknownTypes) {
     EXPECT_EQ(expect_error_frame(sock), WireErrorCode::kProtocol);
   }
   {
-    // MAP_BEGIN must carry a flags byte.
+    // MAP_BEGIN must carry its one 21-byte form.
     Socket sock = raw_hello(server.port());
     serve::write_frame(sock, FrameType::kMapBegin, "", 5'000);
     EXPECT_EQ(expect_error_frame(sock), WireErrorCode::kBadFrame);
@@ -543,7 +499,8 @@ TEST(Serve, TruncatedUploadAtRecordBoundaryIsTypedError) {
   server.start();
 
   Socket sock = raw_hello(server.port());
-  serve::write_frame(sock, FrameType::kMapBegin, std::string(1, '\0'), 5'000);
+  serve::write_frame(sock, FrameType::kMapBegin, serve::encode_map_begin({}),
+                     5'000);
   auto go = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
   ASSERT_TRUE(go.has_value());
   ASSERT_EQ(go->type, FrameType::kMapGo);
@@ -585,8 +542,8 @@ TEST(Serve, BusyWhenAdmissionWindowHeldThenRecovers) {
 
   // Holder: admitted via always-admit-one, then parks without finishing.
   Socket holder = raw_hello(server.port());
-  serve::write_frame(holder, FrameType::kMapBegin, std::string(1, '\0'),
-                     5'000);
+  serve::write_frame(holder, FrameType::kMapBegin,
+                     serve::encode_map_begin({}), 5'000);
   auto go = serve::read_frame(holder, serve::kDefaultMaxFrameBytes, 5'000);
   ASSERT_TRUE(go.has_value());
   ASSERT_EQ(go->type, FrameType::kMapGo);
@@ -730,8 +687,8 @@ TEST(Serve, AdminEndpointsServeLiveState) {
   // Park a raw connection mid-request so the admin pages have live state
   // to show: admitted (MAP_GO seen) but never finishing its upload.
   Socket holder = raw_hello(server.port());
-  serve::write_frame(holder, FrameType::kMapBegin, std::string(1, '\0'),
-                     5'000);
+  serve::write_frame(holder, FrameType::kMapBegin,
+                     serve::encode_map_begin({}), 5'000);
   auto go = serve::read_frame(holder, serve::kDefaultMaxFrameBytes, 5'000);
   ASSERT_TRUE(go.has_value());
   ASSERT_EQ(go->type, FrameType::kMapGo);
@@ -846,7 +803,7 @@ TEST(Serve, TracezCapturesAChromeTrace) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-id propagation (protocol v3) and v2 interop
+// Trace-id propagation
 
 TEST(Serve, TraceIdRoundTripsClientToServer) {
   const Workload w = make_workload(8000, 2.0);
@@ -899,58 +856,6 @@ TEST(Serve, TraceIdRoundTripsClientToServer) {
   EXPECT_NE(trace.find("map_request"), std::string::npos);
   EXPECT_NE(trace.find("deadbeefcafef00d"), std::string::npos);
   obs::reset_trace();
-}
-
-TEST(Serve, V2ClientStaysByteIdenticalWithoutTraceFields) {
-  // A peer that negotiates protocol v2 sends the 5-byte MAP_BEGIN and must
-  // get exactly the pre-v3 behaviour: same result bytes, no trace_id key
-  // in MAP_DONE.
-  const Workload w = make_workload();
-  const PipelineConfig config = serve_config();
-  const OfflineResult offline = offline_outputs(w, config);
-
-  MappingServer server(w.ref, config, test_options());
-  server.start();
-
-  Socket sock = serve::connect_tcp("127.0.0.1", server.port(), 5'000);
-  serve::write_frame(sock, FrameType::kHello, serve::encode_hello(2, "v2"),
-                     5'000);
-  auto hello = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
-  ASSERT_TRUE(hello.has_value());
-  ASSERT_EQ(hello->type, FrameType::kHelloOk);
-  EXPECT_EQ(serve::decode_hello(hello->payload).first, 2);
-
-  serve::write_frame(sock, FrameType::kMapBegin,
-                     serve::encode_map_begin(/*flags=*/0, /*deadline_ms=*/0),
-                     5'000);
-  auto go = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
-  ASSERT_TRUE(go.has_value());
-  ASSERT_EQ(go->type, FrameType::kMapGo);
-  serve::write_frame(sock, FrameType::kReadsChunk, w.fastq, 5'000);
-  serve::write_frame(sock, FrameType::kMapEnd, "", 5'000);
-
-  std::string tsv;
-  std::string done_payload;
-  for (;;) {
-    auto frame = serve::read_frame(sock, serve::kDefaultMaxFrameBytes,
-                                   60'000);
-    ASSERT_TRUE(frame.has_value()) << "connection closed before MAP_DONE";
-    ASSERT_NE(frame->type, FrameType::kError);
-    if (frame->type == FrameType::kResultTsv) {
-      tsv += frame->payload;
-    } else if (frame->type == FrameType::kMapDone) {
-      done_payload = frame->payload;
-      break;
-    }
-  }
-  EXPECT_EQ(tsv, offline.tsv);
-  const auto kv = serve::parse_kv_lines(done_payload);
-  EXPECT_EQ(kv.count("trace_id"), 0u)
-      << "v2 MAP_DONE leaked the v3 trace_id field";
-  EXPECT_EQ(kv.at("reads_total"), std::to_string(w.reads.size()));
-
-  server.request_stop();
-  server.wait();
 }
 
 }  // namespace

@@ -376,7 +376,7 @@ TEST(ChaosServe, ClientDeadlinePropagatesAndAbandonsWork) {
   // forever.  The server must abandon the request on OUR deadline, not its
   // own 60 s one.
   serve::write_frame(sock, FrameType::kMapBegin,
-                     serve::encode_map_begin(0, 300), 5'000);
+                     serve::encode_map_begin({.deadline_ms = 300}), 5'000);
   auto go = serve::read_frame(sock, serve::kDefaultMaxFrameBytes, 5'000);
   ASSERT_TRUE(go.has_value());
   ASSERT_EQ(go->type, FrameType::kMapGo);
